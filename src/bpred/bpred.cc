@@ -1,70 +1,107 @@
 #include "bpred/bpred.hh"
 
+#include <algorithm>
+#include <string>
+
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace vpir
 {
 
+namespace
+{
+
+/** Reject geometries that would index out of range or shift by a
+ *  count the index math cannot take (undefined behaviour). */
+const BpredParams &
+validated(const BpredParams &p)
+{
+    if (!isPowerOf2(p.tableEntries))
+        panic("bpred: tableEntries (" + std::to_string(p.tableEntries) +
+              ") must be a power of two");
+    if (!isPowerOf2(p.btbEntries))
+        panic("bpred: btbEntries (" + std::to_string(p.btbEntries) +
+              ") must be a power of two");
+    if (p.rasEntries == 0)
+        panic("bpred: rasEntries must be at least 1");
+    if (p.historyBits >= 32 || p.historyBits > floorLog2(p.tableEntries))
+        panic("bpred: historyBits (" + std::to_string(p.historyBits) +
+              ") must be below 32 and at most log2(tableEntries) = " +
+              std::to_string(floorLog2(p.tableEntries)));
+    return p;
+}
+
+} // anonymous namespace
+
 BranchPredUnit::BranchPredUnit(const BpredParams &p)
-    : params(p),
-      table(p.tableEntries, SatCounter(2, 1)), // weakly not-taken
+    : params(validated(p)),
+      tableBits(floorLog2(p.tableEntries)),
+      btbBits(floorLog2(p.btbEntries)),
+      histMask((1u << p.historyBits) - 1),
+      table(p.tableEntries, Counter(1)), // weakly not-taken
       ghr(0),
       btb(p.btbEntries),
       ras(p.rasEntries, 0),
       rasTop(0)
 {
-    VPIR_ASSERT(isPowerOf2(p.tableEntries), "table size not power of 2");
-    VPIR_ASSERT(isPowerOf2(p.btbEntries), "btb size not power of 2");
 }
 
 uint32_t
 BranchPredUnit::tableIndex(Addr pc, uint32_t hist) const
 {
-    unsigned bits = floorLog2(params.tableEntries);
-    uint32_t pc_part = foldPC(pc, bits);
+    uint32_t pc_part = foldPC(pc, tableBits);
     // XOR the history into the high end of the index (gshare).
-    uint32_t h = hist & ((1u << params.historyBits) - 1);
-    return (pc_part ^ (h << (bits - params.historyBits))) &
+    uint32_t h = hist & histMask;
+    return (pc_part ^ (h << (tableBits - params.historyBits))) &
            (params.tableEntries - 1);
 }
 
 uint32_t
 BranchPredUnit::btbIndex(Addr pc) const
 {
-    return foldPC(pc, floorLog2(params.btbEntries));
+    return foldPC(pc, btbBits);
 }
 
 void
 BranchPredUnit::rasPush(Addr ret)
 {
     ras[rasTop] = ret;
-    rasTop = (rasTop + 1) % params.rasEntries;
+    if (++rasTop == params.rasEntries)
+        rasTop = 0;
 }
 
 Addr
 BranchPredUnit::rasPop()
 {
-    rasTop = (rasTop + params.rasEntries - 1) % params.rasEntries;
+    rasTop = (rasTop == 0 ? params.rasEntries : rasTop) - 1;
     return ras[rasTop];
 }
 
-BpredCheckpoint
-BranchPredUnit::checkpoint() const
+void
+BranchPredUnit::checkpoint(BpredCheckpointSlab &slab, size_t slot) const
 {
-    BpredCheckpoint cp;
-    cp.ghr = ghr;
-    cp.rasTop = rasTop;
-    cp.ras = ras;
-    return cp;
+    VPIR_ASSERT(slab.rasEntries == params.rasEntries &&
+                    slot < slab.slots(),
+                "checkpoint slab does not fit this predictor");
+    slab.ghr[slot] = ghr;
+    slab.rasTop[slot] = rasTop;
+    std::copy(ras.begin(), ras.end(),
+              slab.ras.begin() +
+                  static_cast<std::ptrdiff_t>(slot * params.rasEntries));
 }
 
 void
-BranchPredUnit::restore(const BpredCheckpoint &cp)
+BranchPredUnit::restore(const BpredCheckpointSlab &slab, size_t slot)
 {
-    ghr = cp.ghr;
-    rasTop = cp.rasTop;
-    ras = cp.ras;
+    VPIR_ASSERT(slab.rasEntries == params.rasEntries &&
+                    slot < slab.slots(),
+                "checkpoint slab does not fit this predictor");
+    ghr = slab.ghr[slot];
+    rasTop = slab.rasTop[slot];
+    auto first = slab.ras.begin() +
+                 static_cast<std::ptrdiff_t>(slot * params.rasEntries);
+    std::copy(first, first + params.rasEntries, ras.begin());
 }
 
 BpredLookup
@@ -79,8 +116,7 @@ BranchPredUnit::predict(Addr pc, const Instr &inst)
         r.predTaken = table[idx].isSet();
         r.predTarget = inst.target;
         // Speculative history update with the predicted direction.
-        ghr = ((ghr << 1) | (r.predTaken ? 1u : 0u)) &
-              ((1u << params.historyBits) - 1);
+        ghr = ((ghr << 1) | (r.predTaken ? 1u : 0u)) & histMask;
         return r;
     }
 
@@ -104,8 +140,7 @@ BranchPredUnit::predict(Addr pc, const Instr &inst)
 void
 BranchPredUnit::forceHistoryBit(bool taken)
 {
-    ghr = ((ghr << 1) | (taken ? 1u : 0u)) &
-          ((1u << params.historyBits) - 1);
+    ghr = ((ghr << 1) | (taken ? 1u : 0u)) & histMask;
 }
 
 void
@@ -132,7 +167,7 @@ void
 BranchPredUnit::serialize(CkptWriter &w) const
 {
     w.u64(table.size());
-    for (const SatCounter &c : table)
+    for (const Counter &c : table)
         w.u8(static_cast<uint8_t>(c.value()));
     w.u32(ghr);
     w.u64(btb.size());
@@ -154,7 +189,7 @@ BranchPredUnit::deserialize(CkptReader &r)
         r.fail();
         return false;
     }
-    for (SatCounter &c : table) {
+    for (Counter &c : table) {
         unsigned v = r.u8();
         if (v > c.max()) {
             r.fail();

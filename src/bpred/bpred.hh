@@ -14,7 +14,6 @@
 #ifndef VPIR_BPRED_BPRED_HH
 #define VPIR_BPRED_BPRED_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +25,9 @@
 namespace vpir
 {
 
-/** Gshare configuration. */
+/** Gshare configuration. The constructor rejects (panics on) tables
+ *  that are not powers of two, an empty RAS, and a history longer than
+ *  the table index or than 31 bits. */
 struct BpredParams
 {
     unsigned historyBits = 10;
@@ -35,13 +36,33 @@ struct BpredParams
     unsigned rasEntries = 16;
 };
 
-/** Snapshot of the speculative predictor state taken at each fetched
- *  control instruction; restored when that instruction squashes. */
-struct BpredCheckpoint
+/**
+ * Preallocated storage for speculative-state snapshots: one history
+ * register, RAS top index and full RAS copy (rasEntries addresses) per
+ * slot, all in flat arrays sized once at construction. Taking or
+ * restoring a snapshot copies into or out of a slot and never touches
+ * the allocator. The core keeps one slot per in-flight control
+ * instruction (see DESIGN.md §14); tests use a slab of a few slots.
+ */
+class BpredCheckpointSlab
 {
-    uint32_t ghr = 0;
-    unsigned rasTop = 0;
-    std::vector<Addr> ras;
+  public:
+    BpredCheckpointSlab(size_t slots, unsigned ras_entries)
+        : rasEntries(ras_entries),
+          ghr(slots, 0),
+          rasTop(slots, 0),
+          ras(slots * ras_entries, 0)
+    {
+    }
+
+    size_t slots() const { return ghr.size(); }
+
+  private:
+    friend class BranchPredUnit;
+    unsigned rasEntries = 0;
+    std::vector<uint32_t> ghr;
+    std::vector<uint32_t> rasTop;
+    std::vector<Addr> ras; //!< [slot * rasEntries + i]
 };
 
 /** What fetch learns about a control instruction. */
@@ -65,11 +86,21 @@ class BranchPredUnit
      */
     BpredLookup predict(Addr pc, const Instr &inst);
 
-    /** Snapshot speculative state (call before predict()). */
-    BpredCheckpoint checkpoint() const;
+    /** A checkpoint slab with @p slots slots sized for this unit's
+     *  RAS (allocates; call at construction time only). */
+    BpredCheckpointSlab
+    makeCheckpointSlab(size_t slots) const
+    {
+        return BpredCheckpointSlab(slots, params.rasEntries);
+    }
 
-    /** Restore speculative state after a squash. */
-    void restore(const BpredCheckpoint &cp);
+    /** Snapshot speculative state into @p slot of @p slab (call before
+     *  predict()). */
+    void checkpoint(BpredCheckpointSlab &slab, size_t slot) const;
+
+    /** Restore the speculative state saved in @p slot of @p slab after
+     *  a squash. */
+    void restore(const BpredCheckpointSlab &slab, size_t slot);
 
     /**
      * Train the direction counters and BTB with the resolved outcome.
@@ -99,7 +130,12 @@ class BranchPredUnit
 
   private:
     BpredParams params;
-    std::vector<SatCounter> table;
+    /** Index math derived from params once, at construction. */
+    unsigned tableBits;
+    unsigned btbBits;
+    uint32_t histMask;
+    using Counter = SatCounter<2>;
+    std::vector<Counter> table;
     uint32_t ghr;
 
     struct BtbEntry

@@ -6,6 +6,8 @@
  * ROB every cycle for completeAt <= now. The wheel indexes events by
  * their due cycle instead: near-future events (within WHEEL_SPAN
  * cycles) go into a power-of-two bucket array indexed by (at & mask),
+ * each bucket a list threaded through one preallocated node pool (so
+ * scheduling reuses freed nodes instead of growing per-bucket arrays),
  * far-future ones wait in a min-heap and migrate into the near wheel
  * as their cycle approaches. popDue() touches only the current
  * cycle's bucket; nextEventAt() gives the idle-cycle skipper an exact
@@ -23,6 +25,7 @@
 #define VPIR_COMMON_EVENT_WHEEL_HH
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -57,7 +60,17 @@ class EventWheel
      *  verification) so the heap stays cold in practice. */
     static constexpr uint64_t WHEEL_SPAN = 256;
 
-    EventWheel() : near(WHEEL_SPAN) {}
+    /**
+     * @param reserve_events Pending events the node pool holds without
+     *        growing (the core sizes it from its ROB). Beyond that the
+     *        pool grows geometrically, like a vector.
+     */
+    explicit EventWheel(size_t reserve_events = 0)
+    {
+        near.fill(-1);
+        nodes.reserve(reserve_events);
+        far.reserve(reserve_events);
+    }
 
     size_t size() const { return n; }
     bool empty() const { return n == 0; }
@@ -69,7 +82,7 @@ class EventWheel
     {
         VPIR_ASSERT(ev.at >= now, "scheduling an event in the past");
         if (ev.at - now < WHEEL_SPAN) {
-            near[bucket(ev.at)].push_back(ev);
+            pushNear(ev);
         } else {
             far.push_back(ev);
             std::push_heap(far.begin(), far.end(), farLater);
@@ -83,18 +96,21 @@ class EventWheel
     popDue(uint64_t now, std::vector<WheelEvent> &out)
     {
         migrate(now);
-        std::vector<WheelEvent> &b = near[bucket(now)];
-        size_t keep = 0;
-        for (size_t i = 0; i < b.size(); ++i) {
-            if (b[i].at == now) {
-                out.push_back(b[i]);
+        int *link = &near[bucket(now)];
+        while (*link >= 0) {
+            int id = *link;
+            Node &node = nodes[static_cast<size_t>(id)];
+            if (node.ev.at == now) {
+                out.push_back(node.ev);
+                *link = node.next;
+                node.next = freeHead;
+                freeHead = id;
                 --n;
             } else {
                 // A later lap of the wheel; leave it for its cycle.
-                b[keep++] = b[i];
+                link = &node.next;
             }
         }
-        b.resize(keep);
     }
 
     /** Due cycle of the earliest pending event, or UINT64_MAX when
@@ -108,7 +124,9 @@ class EventWheel
             return UINT64_MAX;
         uint64_t best = far.empty() ? UINT64_MAX : far.front().at;
         for (uint64_t d = 0; d < WHEEL_SPAN && now + d < best; ++d) {
-            for (const WheelEvent &ev : near[bucket(now + d)]) {
+            for (int id = near[bucket(now + d)]; id >= 0;
+                 id = nodes[static_cast<size_t>(id)].next) {
+                const WheelEvent &ev = nodes[static_cast<size_t>(id)].ev;
                 VPIR_ASSERT(ev.at >= now, "stale event left in wheel");
                 best = std::min(best, ev.at);
             }
@@ -121,13 +139,22 @@ class EventWheel
     void
     clear()
     {
-        for (std::vector<WheelEvent> &b : near)
-            b.clear();
+        near.fill(-1);
+        nodes.clear();
+        freeHead = -1;
         far.clear();
         n = 0;
     }
 
   private:
+    /** Pool node: one pending near event, chained into its bucket's
+     *  list (or the free list) by pool index. */
+    struct Node
+    {
+        WheelEvent ev;
+        int next = -1;
+    };
+
     static size_t
     bucket(uint64_t at)
     {
@@ -140,19 +167,38 @@ class EventWheel
         return a.at > b.at; // min-heap on due cycle
     }
 
+    void
+    pushNear(const WheelEvent &ev)
+    {
+        int id = freeHead;
+        if (id >= 0) {
+            freeHead = nodes[static_cast<size_t>(id)].next;
+        } else {
+            id = static_cast<int>(nodes.size());
+            nodes.emplace_back();
+        }
+        Node &node = nodes[static_cast<size_t>(id)];
+        int &head = near[bucket(ev.at)];
+        node.ev = ev;
+        node.next = head;
+        head = id;
+    }
+
     /** Move far-heap events whose due cycle entered the near span. */
     void
     migrate(uint64_t now)
     {
         while (!far.empty() && far.front().at - now < WHEEL_SPAN) {
             std::pop_heap(far.begin(), far.end(), farLater);
-            near[bucket(far.back().at)].push_back(far.back());
+            pushNear(far.back());
             far.pop_back();
         }
     }
 
-    std::vector<std::vector<WheelEvent>> near;
-    std::vector<WheelEvent> far; // min-heap by at
+    std::array<int, WHEEL_SPAN> near; //!< bucket list heads (-1 empty)
+    std::vector<Node> nodes;          //!< pool; freed nodes are reused
+    int freeHead = -1;                //!< free-list head in nodes
+    std::vector<WheelEvent> far;      //!< min-heap by at
     size_t n = 0;
 };
 

@@ -63,6 +63,19 @@ PanicContext::gather()
 }
 
 void
+assertFailed(const char *file, int line, const char *msg)
+{
+    panic(std::string("assertion failed at ") + file + ":" +
+          std::to_string(line) + ": " + msg);
+}
+
+void
+assertFailed(const char *file, int line, const std::string &msg)
+{
+    assertFailed(file, line, msg.c_str());
+}
+
+void
 panic(const std::string &msg)
 {
     std::string full = compose("panic", msg);

@@ -95,15 +95,24 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
+ * Out-of-line failure path of VPIR_ASSERT: panics with "assertion
+ * failed at FILE:LINE: MSG". Kept cold and out of line so an assert in
+ * a small hot helper costs one predictable branch and leaves the
+ * helper small enough to inline.
+ */
+[[noreturn, gnu::cold]] void assertFailed(const char *file, int line,
+                                          const char *msg);
+[[noreturn, gnu::cold]] void assertFailed(const char *file, int line,
+                                          const std::string &msg);
+
+/**
  * Assert a simulator invariant; calls panic() with location info on
  * failure. Active in all build types (unlike assert()).
  */
 #define VPIR_ASSERT(cond, msg)                                              \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::vpir::panic(std::string("assertion failed at ") + __FILE__ + \
-                          ":" + std::to_string(__LINE__) + ": " + (msg));   \
-        }                                                                   \
+        if (__builtin_expect(!(cond), 0))                                   \
+            ::vpir::assertFailed(__FILE__, __LINE__, (msg));                \
     } while (0)
 
 } // namespace vpir

@@ -84,9 +84,8 @@ class Ring
         ++count;
     }
 
-    /** Pops leave the slot's payload in place: a later push_back
-     *  copy-assigns over it, so element-owned heap storage (e.g. a
-     *  checkpoint's RAS vector) is reused instead of reallocated. */
+    /** Pops leave the slot's payload in place; a later push_back
+     *  copy-assigns over it. */
     void
     pop_front()
     {

@@ -8,32 +8,37 @@
 #define VPIR_COMMON_SAT_COUNTER_HH
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/logging.hh"
 
 namespace vpir
 {
 
-/** An n-bit saturating up/down counter. */
+/**
+ * A BITS-bit saturating up/down counter, its width fixed at compile
+ * time. It is stored in one byte up to 8 bits (so tables with many
+ * counters, gshare and the VPT confidence, stay dense) and in two
+ * bytes up to 15.
+ */
+template <unsigned BITS>
 class SatCounter
 {
+    static_assert(BITS >= 1 && BITS <= 15, "bad counter width");
+
   public:
-    /**
-     * @param bits Counter width in bits (1..15).
-     * @param initial Initial count.
-     */
-    explicit SatCounter(unsigned bits = 2, unsigned initial = 0)
-        : maxVal((1u << bits) - 1), count(initial)
+    /** @param initial Initial count. */
+    explicit SatCounter(unsigned initial = 0)
+        : count(static_cast<Storage>(initial))
     {
-        VPIR_ASSERT(bits >= 1 && bits <= 15, "bad counter width");
-        VPIR_ASSERT(initial <= maxVal, "initial exceeds saturation");
+        VPIR_ASSERT(initial <= MAX, "initial exceeds saturation");
     }
 
     /** Increment, saturating at max. */
     void
     increment()
     {
-        if (count < maxVal)
+        if (count < MAX)
             ++count;
     }
 
@@ -49,22 +54,23 @@ class SatCounter
     void
     reset(unsigned value = 0)
     {
-        VPIR_ASSERT(value <= maxVal, "reset exceeds saturation");
-        count = static_cast<uint16_t>(value);
+        VPIR_ASSERT(value <= MAX, "reset exceeds saturation");
+        count = static_cast<Storage>(value);
     }
 
     unsigned value() const { return count; }
-    unsigned max() const { return maxVal; }
+    static constexpr unsigned max() { return MAX; }
 
     /** True when the count is in the upper half (e.g. taken for 2-bit). */
-    bool isSet() const { return count > maxVal / 2; }
+    bool isSet() const { return count > MAX / 2; }
 
     /** True when the count is at or above the given threshold. */
     bool atLeast(unsigned threshold) const { return count >= threshold; }
 
   private:
-    uint16_t maxVal;
-    uint16_t count;
+    using Storage = std::conditional_t<(BITS <= 8), uint8_t, uint16_t>;
+    static constexpr unsigned MAX = (1u << BITS) - 1;
+    Storage count;
 };
 
 } // namespace vpir

@@ -88,16 +88,39 @@ class SlotSet
         forEachRange(0, cap, f);
     }
 
-    /** Visit members in ring order: ascending from @p start, wrapping
-     *  at capacity. With ROB slots this is program order when @p start
-     *  is the ROB head. */
+    /**
+     * Visit members in ring order — ascending from @p start, wrapping
+     * at capacity — reading membership live: @p f may insert into or
+     * erase from this set, and the walk then visits exactly the
+     * members that lie ahead of its position when it gets there
+     * (members erased before the walk reaches them are skipped, ones
+     * inserted ahead of it are visited). With ROB slots this is
+     * program order when @p start is the ROB head, so the scheduler
+     * walks its candidate sets in place, with no copy. @p f returns
+     * false to stop early.
+     */
     template <typename F>
     void
-    forEachFrom(size_t start, F f) const
+    forEachLiveFrom(size_t start, F f) const
     {
         VPIR_ASSERT(start <= cap, "ring start beyond capacity");
-        if (forEachRange(start, cap, f))
-            forEachRange(0, start, f);
+        size_t pos = start;
+        size_t end = cap;
+        bool wrapped = false;
+        for (;;) {
+            int slot = nextMember(pos, end);
+            if (slot < 0) {
+                if (wrapped || start == 0)
+                    return;
+                wrapped = true;
+                pos = 0;
+                end = start;
+                continue;
+            }
+            if (!f(slot))
+                return;
+            pos = static_cast<size_t>(slot) + 1;
+        }
     }
 
   private:
@@ -125,6 +148,26 @@ class SlotSet
             }
         }
         return true;
+    }
+
+    /** First member in [lo, hi), or -1. */
+    int
+    nextMember(size_t lo, size_t hi) const
+    {
+        if (lo >= hi)
+            return -1;
+        size_t wi = lo / 64;
+        uint64_t w = words[wi] & (~uint64_t{0} << (lo % 64));
+        for (;;) {
+            if (w) {
+                size_t slot = wi * 64 + static_cast<size_t>(
+                                            __builtin_ctzll(w));
+                return slot < hi ? static_cast<int>(slot) : -1;
+            }
+            if (++wi * 64 >= hi)
+                return -1;
+            w = words[wi];
+        }
     }
 
     bool

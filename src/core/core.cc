@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <new>
 #include <sstream>
+#include <type_traits>
 
 #include "common/deadline.hh"
 #include "common/env.hh"
@@ -32,7 +34,12 @@ Core::Core(const CoreParams &p, const Program &program,
       vptAddr(p.vpt),
       rb(p.rb),
       injector(p.faults),
+      // One live completion per ROB slot, plus the stale completions of
+      // squashed incarnations and refinalize rechecks until their
+      // cycles pass: eight per slot is far above any observed peak.
+      wheel(8 * static_cast<size_t>(p.robEntries)),
       rob(p.robEntries),
+      bpSlab(bpred.makeCheckpointSlab(p.robEntries + p.fetchQueueSize)),
       lsq(p.lsqEntries),
       fetchQueue(p.fetchQueueSize),
       storeQ(p.lsqEntries),
@@ -61,11 +68,6 @@ Core::Core(const CoreParams &p, const Program &program,
     dueScratch.reserve(p.robEntries);
     xcheckScratch.reserve(p.robEntries);
 
-    // One decode-table lookup per *static* instruction; the pipeline
-    // reads the cached pointer for every dynamic instance.
-    decodeCache.reserve(program.text.size());
-    for (const Instr &i : program.text)
-        decodeCache.push_back(&decodeInfo(i.op));
     // 2x capacity: orderHead compaction runs only when the consumed
     // prefix reaches robEntries, so the vector never reallocates.
     orderList.reserve(2 * p.robEntries);
@@ -100,7 +102,9 @@ Core::Core(const CoreParams &p, const Program &program,
 
 // ------------------------------------------------------------ helpers
 
-bool
+// The operand helpers below run several times per candidate per
+// cycle; `inline` lets them fold into the stage loops.
+inline bool
 Core::refAlive(const RobRef &r) const
 {
     return r.valid() && rob[r.slot].valid && rob[r.slot].seq == r.seq;
@@ -117,7 +121,7 @@ Core::allocRob()
     return slot;
 }
 
-uint64_t
+inline uint64_t
 Core::entryValueFor(const RobEntry &e, RegId reg) const
 {
     if (e.inst.rd2 != REG_INVALID && reg == e.inst.rd2)
@@ -125,7 +129,7 @@ Core::entryValueFor(const RobEntry &e, RegId reg) const
     return e.curResult;
 }
 
-bool
+inline bool
 Core::entryValueAvail(const RobEntry &e, RegId reg, uint64_t t) const
 {
     if (e.inst.rd2 != REG_INVALID && reg == e.inst.rd2)
@@ -133,7 +137,7 @@ Core::entryValueAvail(const RobEntry &e, RegId reg, uint64_t t) const
     return e.hasValue && e.readyTime <= t;
 }
 
-Core::OperandView
+inline Core::OperandView
 Core::operandView(int slot, int k, uint64_t t) const
 {
     const RobEntry &e = at(slot);
@@ -269,11 +273,10 @@ Core::fetchStage()
 
         FetchedInst f;
         f.pc = fetchPC;
-        f.inst = *ip;
-        f.di = decodeAt(fetchPC);
-        f.isCtrl = f.di->cls == InstClass::Branch ||
-                   f.di->cls == InstClass::Jump;
-        f.resolvable = f.di->cls == InstClass::Branch ||
+        f.si = decodeAt(fetchPC);
+        f.isCtrl = f.si->info->cls == InstClass::Branch ||
+                   f.si->info->cls == InstClass::Jump;
+        f.resolvable = f.si->info->cls == InstClass::Branch ||
                        isIndirectJump(ip->op);
 
         if (ip->op == Op::HALT) {
@@ -290,7 +293,10 @@ Core::fetchStage()
                 unresolvedBranches() >= params.maxUnresolvedBranches) {
                 break; // Table 1: max 8 unresolved branches
             }
-            f.bpCp = bpred.checkpoint();
+            f.bpSlot = bpSlotNext;
+            if (++bpSlotNext == bpSlab.slots())
+                bpSlotNext = 0;
+            bpred.checkpoint(bpSlab, f.bpSlot);
             BpredLookup look = bpred.predict(fetchPC, *ip);
             f.predTaken = look.predTaken;
             f.ghrUsed = look.ghrUsed;
@@ -502,7 +508,7 @@ Core::dispatchStage()
     unsigned dispatched = 0;
     while (dispatched < params.dispatchWidth && !fetchQueue.empty()) {
         const FetchedInst &f = fetchQueue.front();
-        const DecodeInfo &di = *f.di;
+        const DecodeInfo &di = *f.si->info;
         bool is_mem = di.cls == InstClass::Load ||
                       di.cls == InstClass::Store;
         if (is_mem && lsq.size() >= params.lsqEntries)
@@ -511,23 +517,26 @@ Core::dispatchStage()
         if (slot < 0)
             break;
 
-        ExecResult er = emu.stepAt(f.pc);
-
-        RobEntry &e = at(slot);
-        e = RobEntry{};
+        // In-place reset (DESIGN.md §14): construct the slot's entry
+        // where it lives, every field from its member initializer,
+        // instead of building a temporary and copying it over.
+        static_assert(std::is_trivially_destructible_v<RobEntry>);
+        RobEntry &e = *new (&rob[slot]) RobEntry;
+        // The oracle execution writes straight into the entry. Fetch
+        // only queues PCs inside the text segment, so prog.at() below
+        // cannot fail; execAt() returns false for a HALT.
+        e.isHalt = !emu.execAt(f.pc, e.exec.out, e.exec.srcVals);
         e.valid = true;
         e.seq = nextSeq++;
         e.pc = f.pc;
-        e.inst = er.inst;
+        e.inst = *prog.at(f.pc);
         e.cls = di.cls;
-        e.di = f.di;
-        e.exec = er;
+        e.si = f.si;
         e.postMark = state.mark();
         e.dispatchCycle = curCycle;
-        e.isHalt = er.halted;
         e.isLd = di.cls == InstClass::Load;
         e.isSt = di.cls == InstClass::Store;
-        e.memSz = memSize(er.inst.op);
+        e.memSz = di.memSz;
         e.isCtrl = f.isCtrl;
         e.resolvable = f.resolvable;
         e.predTaken = f.predTaken;
@@ -535,17 +544,15 @@ Core::dispatchStage()
         e.followedNextPC = f.predNextPC;
         e.ghrUsed = f.ghrUsed;
         e.fromRas = f.fromRas;
-        e.bpCp = f.bpCp;
+        e.bpSlot = f.bpSlot;
         orderList.push_back(slot);
 
         // Rename sources against in-flight producers.
-        SrcRegs s = srcRegs(er.inst);
         for (int k = 0; k < 2; ++k) {
-            e.srcReg[k] = s.src[k];
-            if (s.src[k] != REG_INVALID &&
-                refAlive(regProducer[s.src[k]])) {
-                e.srcRob[k] = regProducer[s.src[k]];
-            }
+            RegId r = f.si->src.src[k];
+            e.srcReg[k] = r;
+            if (r != REG_INVALID && refAlive(regProducer[r]))
+                e.srcRob[k] = regProducer[r];
         }
 
         if (e.cls == InstClass::Nop || e.isHalt) {
@@ -584,8 +591,7 @@ Core::dispatchStage()
 
         // Claim destinations after the reuse probe (which must see the
         // *previous* producers of our destination registers).
-        DstRegs d = dstRegs(er.inst);
-        for (RegId r : d.dst) {
+        for (RegId r : e.si->dst.dst) {
             if (r != REG_INVALID)
                 regProducer[r] = RobRef{slot, e.seq};
         }
@@ -738,13 +744,8 @@ void
 Core::schedOnDispatch(int slot)
 {
     RobEntry &e = at(slot);
-    // Slot reuse: any residue from the previous occupant is a bug in
-    // the unlink discipline, but clearing is O(1) and keeps a
-    // dangling node from corrupting a live producer's list.
-    unlinkWaiter(slot, 0);
-    unlinkWaiter(slot, 1);
-    unlinkFinWaiter(slot, 0);
-    unlinkFinWaiter(slot, 1);
+    // Slot reuse needs no cleanup: commit and squash leave every
+    // waiter node of a dead slot unlinked (auditSched() checks it).
 
     if (e.isCtrl && e.resolvable) {
         ++robUnresolvedCtrl;
@@ -771,19 +772,6 @@ Core::schedOnDispatch(int slot)
         e.isLd && e.memAddrKnown && (e.addrReused || e.addrPredicted);
     if (e.pendingOps == 0 || addr_ready_load)
         readySet.insert(slot);
-}
-
-void
-Core::collectInOrder(const SlotSet &s, std::vector<int> &out) const
-{
-    // ROB slots are allocated in ring order, so walking the bitmask
-    // from the head (with wraparound) yields program order directly —
-    // no sort.
-    out.clear();
-    s.forEachFrom(static_cast<size_t>(robHead), [&](int slot) {
-        out.push_back(slot);
-        return true;
-    });
 }
 
 // -------------------------------------------------------------- issue
@@ -827,11 +815,11 @@ Core::loadMayAccess(int slot, bool &forward, RobRef &conflict) const
 }
 
 void
-Core::issueEntry(int slot)
+Core::issueEntry(int slot, const OperandView (&v)[2])
 {
     RobEntry &e = at(slot);
-    OperandView v0 = operandView(slot, 0, curCycle);
-    OperandView v1 = operandView(slot, 1, curCycle);
+    const OperandView &v0 = v[0];
+    const OperandView &v1 = v[1];
 
     e.usedVals[0] = v0.value;
     e.usedVals[1] = v1.value;
@@ -853,10 +841,10 @@ Core::issueEntry(int slot)
     } else {
         // Speculative inputs: genuinely evaluate with the wrong
         // values (this is what makes spurious outcomes possible).
-        MemReadFn mem = [this](Addr a, unsigned sz) {
+        auto read = [this](Addr a, unsigned sz) {
             return state.readMem(a, sz);
         };
-        SemOut o = evalInstr(e.inst, e.pc, v0.value, v1.value, mem);
+        SemOut o = evalInstr(e.inst, e.pc, v0.value, v1.value, read);
         e.pendResult = o.result;
         e.pendResult2 = o.result2;
         e.pendTaken = o.taken;
@@ -864,7 +852,7 @@ Core::issueEntry(int slot)
         e.pendMemAddr = o.memAddr;
     }
 
-    const DecodeInfo &di = *e.di;
+    const DecodeInfo &di = *e.si->info;
     uint64_t complete = curCycle + di.opLat;
 
     if (e.isLd) {
@@ -918,130 +906,140 @@ void
 Core::issueStage()
 {
     unsigned issued = 0;
-    // Fast: only ready-set members (program order). Brute and Xcheck:
-    // the legacy full-window walk; Xcheck additionally asserts that
-    // every entry the walk finds issuable is in the ready set, which
-    // (the evaluation code being shared) pins the fast path to
-    // identical issue decisions.
+    // Fast: only ready-set members, walked in place in program order
+    // (the walk erases only the slot it is visiting, so it sees
+    // exactly the set as it stood when the stage began). Brute and
+    // Xcheck: the legacy full-window walk; Xcheck additionally
+    // asserts that every entry the walk finds issuable is in the
+    // ready set, which (the evaluation code being shared) pins the
+    // fast path to identical issue decisions.
     if (schedMode == SchedMode::Fast) {
-        collectInOrder(readySet, schedScratch);
+        readySet.forEachLiveFrom(static_cast<size_t>(robHead),
+                                 [&](int slot) {
+                                     issueCandidate(slot, issued);
+                                     return true;
+                                 });
+        return;
+    }
+    schedScratch.assign(orderList.begin() + static_cast<long>(orderHead),
+                        orderList.end());
+    for (int slot : schedScratch)
+        issueCandidate(slot, issued);
+}
+
+void
+Core::issueCandidate(int slot, unsigned &issued)
+{
+    RobEntry &e = at(slot);
+    if (!e.valid || !e.needsExec || e.inFlight || e.finalized)
+        return;
+    if (curCycle <= e.dispatchCycle)
+        return; // earliest issue is the cycle after dispatch
+
+    // Does this entry currently want to execute?
+    bool wants = false;
+    OperandView v[2];
+    bool all_avail = true;
+    bool all_final = true;
+    for (int k = 0; k < 2; ++k) {
+        v[k] = operandView(slot, k, curCycle);
+        all_avail = all_avail && v[k].avail;
+        all_final = all_final && v[k].final;
+    }
+    // Loads with a reused/predicted address need no operands to
+    // access the cache.
+    bool addr_ready_load =
+        e.isLd && e.memAddrKnown && (e.addrReused ||
+                                     e.addrPredicted);
+    if (!all_avail && !addr_ready_load) {
+        // Waiter links guarantee a wake when the missing operand
+        // publishes, so the entry can leave the ready set.
+        readySet.erase(slot);
+        return;
+    }
+
+    if (!e.executedOnce) {
+        wants = true;
     } else {
-        schedScratch.assign(orderList.begin() +
-                                static_cast<long>(orderHead),
-                            orderList.end());
-    }
-    for (int slot : schedScratch) {
-        RobEntry &e = at(slot);
-        if (!e.valid || !e.needsExec || e.inFlight || e.finalized)
-            continue;
-        if (curCycle <= e.dispatchCycle)
-            continue; // earliest issue is the cycle after dispatch
-
-        // Does this entry currently want to execute?
-        bool wants = false;
-        OperandView v[2];
-        bool all_avail = true;
-        bool all_final = true;
-        for (int k = 0; k < 2; ++k) {
-            v[k] = operandView(slot, k, curCycle);
-            all_avail = all_avail && v[k].avail;
-            all_final = all_final && v[k].final;
-        }
-        // Loads with a reused/predicted address need no operands to
-        // access the cache.
-        bool addr_ready_load =
-            e.isLd && e.memAddrKnown && (e.addrReused ||
-                                         e.addrPredicted);
-        if (!all_avail && !addr_ready_load) {
-            // Waiter links guarantee a wake when the missing operand
-            // publishes, so the entry can leave the ready set.
+        bool changed = v[0].value != e.usedVals[0] ||
+                       v[1].value != e.usedVals[1];
+        // An address-speculative load can have accessed the wrong
+        // location with operand values that coincidentally equal
+        // the oracle ones; the value test alone would never
+        // re-issue it. Redo the access once real operands arrive.
+        bool addr_stale = e.isLd && all_avail &&
+                          e.curMemAddr != e.exec.out.memAddr;
+        if (!changed && !addr_stale) {
+            // Quiescent: only an operand re-publication can change
+            // this evaluation, and the persistent waiter links
+            // re-wake the entry then — so stop polling it.
             readySet.erase(slot);
-            continue;
+            return;
         }
-
-        if (!e.executedOnce) {
-            wants = true;
+        if (params.reexec == ReexecPolicy::Multiple || addr_stale) {
+            wants = true; // ME: re-execute on any new value
         } else {
-            bool changed = v[0].value != e.usedVals[0] ||
-                           v[1].value != e.usedVals[1];
-            // An address-speculative load can have accessed the wrong
-            // location with operand values that coincidentally equal
-            // the oracle ones; the value test alone would never
-            // re-issue it. Redo the access once real operands arrive.
-            bool addr_stale = e.isLd && all_avail &&
-                              e.curMemAddr != e.exec.out.memAddr;
-            if (!changed && !addr_stale) {
-                // Quiescent: only an operand re-publication can change
-                // this evaluation, and the persistent waiter links
-                // re-wake the entry then — so stop polling it.
-                readySet.erase(slot);
-                continue;
-            }
-            if (params.reexec == ReexecPolicy::Multiple || addr_stale) {
-                wants = true; // ME: re-execute on any new value
-            } else {
-                // NME: re-execute once, after operands are final.
-                wants = all_final && e.execCount < 2;
-                if (!wants) {
-                    if (e.execCount >= 2) {
-                        // Final re-execution already done; nothing
-                        // further can make this entry issue.
-                        readySet.erase(slot);
-                    }
-                    // else: waiting on operand *finality*, which can
-                    // elapse with no publication — keep polling (the
-                    // operand view notes the finalize cycle as an
-                    // idle-skip bound).
-                    continue;
+            // NME: re-execute once, after operands are final.
+            wants = all_final && e.execCount < 2;
+            if (!wants) {
+                if (e.execCount >= 2) {
+                    // Final re-execution already done; nothing
+                    // further can make this entry issue.
+                    readySet.erase(slot);
                 }
+                // else: waiting on operand *finality*, which can
+                // elapse with no publication — keep polling (the
+                // operand view notes the finalize cycle as an
+                // idle-skip bound).
+                return;
             }
         }
-        if (schedMode == SchedMode::Xcheck) {
-            VPIR_ASSERT(readySet.test(slot),
-                        "issuable entry missing from the ready set");
-        }
-
-        // Loads must respect store disambiguation before requesting
-        // a port (a blocked load is a dataflow stall, not resource
-        // contention).
-        bool fwd = false;
-        RobRef dep;
-        bool needs_port = false;
-        if (e.isLd) {
-            if (addr_ready_load && !all_avail) {
-                // Address known speculatively; can't disambiguate
-                // against oracle yet but the paper's machine still
-                // requires older store addresses to be known.
-            }
-            if (!loadMayAccess(slot, fwd, dep))
-                continue;
-            needs_port = !fwd;
-        }
-
-        // From here on the instruction is ready: any denial is
-        // resource contention (Figure 5).
-        ++st.resourceRequests;
-        cycleHadWork = true;
-        if (issued >= params.issueWidth) {
-            ++st.resourceDenied;
-            continue;
-        }
-        bool skip_agen_fu = e.isLd && (e.addrReused);
-        FuType fu = skip_agen_fu ? FuType::None : e.di->fu;
-        if (!fus.available(fu, curCycle)) {
-            ++st.resourceDenied;
-            continue;
-        }
-        if (needs_port && dcachePortsUsed >= params.dcachePorts) {
-            ++st.resourceDenied;
-            continue;
-        }
-        fus.acquire(fu, curCycle, e.di->issueLat);
-        if (needs_port)
-            ++dcachePortsUsed;
-        issueEntry(slot);
-        ++issued;
     }
+    if (schedMode == SchedMode::Xcheck) {
+        VPIR_ASSERT(readySet.test(slot),
+                    "issuable entry missing from the ready set");
+    }
+
+    // Loads must respect store disambiguation before requesting
+    // a port (a blocked load is a dataflow stall, not resource
+    // contention).
+    bool fwd = false;
+    RobRef dep;
+    bool needs_port = false;
+    if (e.isLd) {
+        if (addr_ready_load && !all_avail) {
+            // Address known speculatively; can't disambiguate
+            // against oracle yet but the paper's machine still
+            // requires older store addresses to be known.
+        }
+        if (!loadMayAccess(slot, fwd, dep))
+            return;
+        needs_port = !fwd;
+    }
+
+    // From here on the instruction is ready: any denial is
+    // resource contention (Figure 5).
+    ++st.resourceRequests;
+    cycleHadWork = true;
+    if (issued >= params.issueWidth) {
+        ++st.resourceDenied;
+        return;
+    }
+    bool skip_agen_fu = e.isLd && (e.addrReused);
+    FuType fu = skip_agen_fu ? FuType::None : e.si->info->fu;
+    if (!fus.available(fu, curCycle)) {
+        ++st.resourceDenied;
+        return;
+    }
+    if (needs_port && dcachePortsUsed >= params.dcachePorts) {
+        ++st.resourceDenied;
+        return;
+    }
+    fus.acquire(fu, curCycle, e.si->info->issueLat);
+    if (needs_port)
+        ++dcachePortsUsed;
+    issueEntry(slot, v);
+    ++issued;
 }
 
 // -------------------------------------------------- completion/verify
@@ -1175,130 +1173,121 @@ Core::processCompletions()
 void
 Core::finalizeScan()
 {
-    // Fast walks only the finalize-candidate set, as a mutable
-    // worklist: an entry that fails because an operand is not yet
-    // final *parks* — on the producer's finalize-waiter list when the
-    // producer has not finalized, or on a timed wheel recheck when
-    // only its verification delay is pending — instead of being
-    // re-polled every cycle. A producer finalizing mid-pass wakes its
-    // parked consumers and splices them back into the worklist in
-    // program order, so chains of same-cycle finalizations behave
-    // exactly as in the brute walk. Brute/Xcheck walk the whole
-    // window; Xcheck also runs the park bookkeeping for candidates
-    // (keeping the structures on the fast trajectory) and asserts
-    // every entry it finalizes is a candidate.
-    bool fast = schedMode == SchedMode::Fast;
-    bool park = schedMode != SchedMode::Brute;
-    if (fast) {
-        collectInOrder(finalCand, schedScratch);
-    } else {
-        schedScratch.assign(orderList.begin() +
-                                static_cast<long>(orderHead),
-                            orderList.end());
+    // Fast walks only the finalize-candidate set, in place and in
+    // program order, as a live worklist: an entry that fails because
+    // an operand is not yet final *parks* — on the producer's
+    // finalize-waiter list when the producer has not finalized, or on
+    // a timed wheel recheck when only its verification delay is
+    // pending — instead of being re-polled every cycle. A producer
+    // finalizing mid-pass wakes its parked consumers back into the
+    // set; they are younger, so the walk reaches them later in the
+    // same pass and chains of same-cycle finalizations behave exactly
+    // as in the brute walk. Brute/Xcheck walk the whole window;
+    // Xcheck also runs the park bookkeeping for candidates (keeping
+    // the structures on the fast trajectory) and asserts every entry
+    // it finalizes is a candidate.
+    if (schedMode == SchedMode::Fast) {
+        finalCand.forEachLiveFrom(static_cast<size_t>(robHead),
+                                  [&](int slot) {
+                                      finalizeCandidate(slot);
+                                      return true;
+                                  });
+        return;
     }
-    for (size_t i = 0; i < schedScratch.size(); ++i) {
-        int slot = schedScratch[i];
-        RobEntry &e = at(slot);
-        if (!e.valid || e.finalized || e.inFlight)
-            continue;
-        if (!e.needsExec || !e.executedOnce)
-            continue;
-        bool member = finalCand.test(slot);
+    schedScratch.assign(orderList.begin() + static_cast<long>(orderHead),
+                        orderList.end());
+    for (int slot : schedScratch)
+        finalizeCandidate(slot);
+}
 
-        bool ops_final = true;
-        for (int k = 0; k < 2; ++k) {
-            OperandView v = operandView(slot, k, curCycle);
-            if (v.final)
-                continue;
-            ops_final = false;
-            if (park && member && refAlive(e.srcRob[k])) {
-                const RobEntry &p = at(e.srcRob[k].slot);
-                if (!p.finalized) {
-                    // Re-completion can put a still-parked entry back
-                    // into the candidate set; the node is already on
-                    // the right producer's list then.
-                    if (finWaiters[slot * 2 + k].prodSlot < 0)
-                        linkFinWaiter(slot, k, e.srcRob[k].slot);
-                    finalCand.erase(slot);
-                } else if (p.finalizeAt > curCycle) {
-                    scheduleRefinal(slot, p.finalizeAt);
-                    finalCand.erase(slot);
-                }
-                // else: a finalized-now producer publishes before it
-                // finalizes, so a non-final view cannot happen — keep
-                // the entry polling defensively.
-            }
-            break;
-        }
-        if (!ops_final)
-            continue;
+void
+Core::finalizeCandidate(int slot)
+{
+    bool park = schedMode != SchedMode::Brute;
+    RobEntry &e = at(slot);
+    if (!e.valid || e.finalized || e.inFlight)
+        return;
+    if (!e.needsExec || !e.executedOnce)
+        return;
+    bool member = finalCand.test(slot);
 
-        // The last execution must have consumed the final (oracle)
-        // operand values; otherwise a re-execution is still due: the
-        // publication that changes the operands re-wakes the entry on
-        // the issue side, and its completion re-arms the candidate.
-        if (e.usedVals[0] != e.exec.srcVals[0] ||
-            e.usedVals[1] != e.exec.srcVals[1]) {
-            if (park && member)
+    for (int k = 0; k < 2; ++k) {
+        OperandView v = operandView(slot, k, curCycle);
+        if (v.final)
+            continue;
+        if (park && member && refAlive(e.srcRob[k])) {
+            const RobEntry &p = at(e.srcRob[k].slot);
+            if (!p.finalized) {
+                // Re-completion can put a still-parked entry back
+                // into the candidate set; the node is already on the
+                // right producer's list then.
+                if (finWaiters[slot * 2 + k].prodSlot < 0)
+                    linkFinWaiter(slot, k, e.srcRob[k].slot);
                 finalCand.erase(slot);
-            continue;
-        }
-
-        // A load whose last access used a mispredicted address read
-        // the wrong location even if the (stale) operand values
-        // happened to match the oracle ones; hold it for the
-        // addr-stale re-issue instead of finalizing wrong data.
-        if (e.isLd && e.curMemAddr != e.exec.out.memAddr) {
-            if (park && member)
+            } else if (p.finalizeAt > curCycle) {
+                scheduleRefinal(slot, p.finalizeAt);
                 finalCand.erase(slot);
-            continue;
-        }
-
-        if (schedMode == SchedMode::Xcheck) {
-            VPIR_ASSERT(member, "finalizing entry missing from the "
-                                "finalize-candidate set");
-        }
-        e.finalized = true;
-        e.finalizeAt = curCycle + (e.predicted ? params.vpVerifyLatency
-                                               : 0);
-        if (e.predicted && e.predValue != e.exec.out.result)
-            ++st.valueMispredictEvents;
-        readySet.erase(slot);
-        finalCand.erase(slot);
-        // Finalized entries never re-execute, so the operand links
-        // have no wakes left to deliver.
-        unlinkWaiter(slot, 0);
-        unlinkWaiter(slot, 1);
-        cycleHadWork = true;
-
-        // Wake parked consumers. With a verification delay the value
-        // is final only at finalizeAt: recheck then (timed event);
-        // otherwise recheck this pass, in program order (consumers
-        // are younger, so the splice point is always after i).
-        int id = e.finWaiterHead;
-        while (id >= 0) {
-            int next = finWaiters[id].next;
-            int cslot = id / 2;
-            unlinkFinWaiter(cslot, id % 2);
-            const RobEntry &c = at(cslot);
-            if (e.finalizeAt > curCycle) {
-                scheduleRefinal(cslot, e.finalizeAt);
-            } else if (!c.inFlight && !c.finalized &&
-                       !finalCand.test(cslot)) {
-                finalCand.insert(cslot);
-                if (fast) {
-                    auto it = std::upper_bound(
-                        schedScratch.begin() +
-                            static_cast<std::ptrdiff_t>(i) + 1,
-                        schedScratch.end(), cslot,
-                        [this](int a, int b) {
-                            return at(a).seq < at(b).seq;
-                        });
-                    schedScratch.insert(it, cslot);
-                }
             }
-            id = next;
+            // else: a finalized-now producer publishes before it
+            // finalizes, so a non-final view cannot happen — keep the
+            // entry polling defensively.
         }
+        return;
+    }
+
+    // The last execution must have consumed the final (oracle)
+    // operand values; otherwise a re-execution is still due: the
+    // publication that changes the operands re-wakes the entry on the
+    // issue side, and its completion re-arms the candidate.
+    if (e.usedVals[0] != e.exec.srcVals[0] ||
+        e.usedVals[1] != e.exec.srcVals[1]) {
+        if (park && member)
+            finalCand.erase(slot);
+        return;
+    }
+
+    // A load whose last access used a mispredicted address read the
+    // wrong location even if the (stale) operand values happened to
+    // match the oracle ones; hold it for the addr-stale re-issue
+    // instead of finalizing wrong data.
+    if (e.isLd && e.curMemAddr != e.exec.out.memAddr) {
+        if (park && member)
+            finalCand.erase(slot);
+        return;
+    }
+
+    if (schedMode == SchedMode::Xcheck) {
+        VPIR_ASSERT(member, "finalizing entry missing from the "
+                            "finalize-candidate set");
+    }
+    e.finalized = true;
+    e.finalizeAt = curCycle + (e.predicted ? params.vpVerifyLatency : 0);
+    if (e.predicted && e.predValue != e.exec.out.result)
+        ++st.valueMispredictEvents;
+    readySet.erase(slot);
+    finalCand.erase(slot);
+    // Finalized entries never re-execute, so the operand links have no
+    // wakes left to deliver.
+    unlinkWaiter(slot, 0);
+    unlinkWaiter(slot, 1);
+    cycleHadWork = true;
+
+    // Wake parked consumers. With a verification delay the value is
+    // final only at finalizeAt: recheck then (timed event); otherwise
+    // back into the candidate set, where this pass's walk reaches
+    // them (consumers are younger than their producer).
+    int id = e.finWaiterHead;
+    while (id >= 0) {
+        int next = finWaiters[id].next;
+        int cslot = id / 2;
+        unlinkFinWaiter(cslot, id % 2);
+        const RobEntry &c = at(cslot);
+        if (e.finalizeAt > curCycle) {
+            scheduleRefinal(cslot, e.finalizeAt);
+        } else if (!c.inFlight && !c.finalized) {
+            finalCand.insert(cslot);
+        }
+        id = next;
     }
 }
 
@@ -1325,49 +1314,56 @@ Core::doResolve(int slot, Addr computed_next, bool is_final)
 void
 Core::resolveControl()
 {
-    // Oldest-first; a squash removes all younger entries, so restart
-    // scanning is unnecessary (the validity guard sees them gone).
-    // Fast iterates only the unresolved-control set; Brute/Xcheck walk
-    // the whole window, Xcheck asserting every acting entry is in the
-    // set.
+    // Oldest-first; a squash removes all younger entries (and their
+    // set memberships), so no restart is needed. Fast walks the
+    // unresolved-control set in place; Brute/Xcheck walk the whole
+    // window (the validity guard skips squashed entries), Xcheck
+    // asserting every acting entry is in the set.
     if (schedMode == SchedMode::Fast) {
-        collectInOrder(ctrlSet, schedScratch);
-    } else {
-        schedScratch.assign(orderList.begin() +
-                                static_cast<long>(orderHead),
-                            orderList.end());
+        ctrlSet.forEachLiveFrom(static_cast<size_t>(robHead),
+                                [&](int slot) {
+                                    resolveCandidate(slot);
+                                    return true;
+                                });
+        return;
     }
-    for (int slot : schedScratch) {
-        RobEntry &e = at(slot);
-        if (!e.valid || !e.isCtrl || !e.resolvable)
-            continue;
-        bool nsb = (params.technique == Technique::VP ||
-                    params.technique == Technique::Hybrid) &&
-                   params.branchRes == BranchResolution::NonSpeculative;
-        if (nsb) {
-            if (e.finalized && e.finalizeAt <= curCycle &&
-                !e.finalActionDone) {
-                if (schedMode == SchedMode::Xcheck) {
-                    VPIR_ASSERT(ctrlSet.test(slot),
-                                "resolving entry missing from the "
-                                "control set");
-                }
-                doResolve(slot, e.curNextPC, true);
-            } else if (e.finalized && !e.finalActionDone &&
-                       e.finalizeAt > curCycle) {
-                noteWake(e.finalizeAt); // idle-skip bound
-            }
-        } else if (e.pendingResolve) {
+    schedScratch.assign(orderList.begin() + static_cast<long>(orderHead),
+                        orderList.end());
+    for (int slot : schedScratch)
+        resolveCandidate(slot);
+}
+
+void
+Core::resolveCandidate(int slot)
+{
+    RobEntry &e = at(slot);
+    if (!e.valid || !e.isCtrl || !e.resolvable)
+        return;
+    bool nsb = (params.technique == Technique::VP ||
+                params.technique == Technique::Hybrid) &&
+               params.branchRes == BranchResolution::NonSpeculative;
+    if (nsb) {
+        if (e.finalized && e.finalizeAt <= curCycle &&
+            !e.finalActionDone) {
             if (schedMode == SchedMode::Xcheck) {
                 VPIR_ASSERT(ctrlSet.test(slot),
-                            "resolving entry missing from the "
-                            "control set");
+                            "resolving entry missing from the control "
+                            "set");
             }
-            e.pendingResolve = false;
-            cycleHadWork = true;
-            bool fin = e.finalized && e.finalizeAt <= curCycle;
-            doResolve(slot, e.curNextPC, fin);
+            doResolve(slot, e.curNextPC, true);
+        } else if (e.finalized && !e.finalActionDone &&
+                   e.finalizeAt > curCycle) {
+            noteWake(e.finalizeAt); // idle-skip bound
         }
+    } else if (e.pendingResolve) {
+        if (schedMode == SchedMode::Xcheck) {
+            VPIR_ASSERT(ctrlSet.test(slot),
+                        "resolving entry missing from the control set");
+        }
+        e.pendingResolve = false;
+        cycleHadWork = true;
+        bool fin = e.finalized && e.finalizeAt <= curCycle;
+        doResolve(slot, e.curNextPC, fin);
     }
 }
 
@@ -1380,8 +1376,7 @@ Core::rebuildRename()
         r = RobRef{};
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
-        DstRegs d = dstRegs(e.inst);
-        for (RegId r : d.dst) {
+        for (RegId r : e.si->dst.dst) {
             if (r != REG_INVALID)
                 regProducer[r] = RobRef{slot, e.seq};
         }
@@ -1462,8 +1457,12 @@ Core::squashAfter(int slot, Addr redirect)
 
     // Repair the speculative predictor state: restore the snapshot
     // taken before this instruction predicted, then re-apply its own
-    // effect with the outcome just used for the redirect.
-    bpred.restore(e.bpCp);
+    // effect with the outcome just used for the redirect. Every slab
+    // slot after this one belonged to a squashed (or flushed)
+    // instruction, so fetch allocates again right after it.
+    VPIR_ASSERT(e.isCtrl, "squash by a non-control instruction");
+    bpred.restore(bpSlab, e.bpSlot);
+    bpSlotNext = e.bpSlot + 1 == bpSlab.slots() ? 0 : e.bpSlot + 1;
     if (e.cls == InstClass::Branch)
         bpred.forceHistoryBit(e.curTaken);
     if (isCall(e.inst.op))
@@ -1587,7 +1586,7 @@ dumpBpredDebug()
 }
 
 void
-Core::trainPredictors(RobEntry &e)
+Core::trainPredictors(const RobEntry &e)
 {
     if (e.isCtrl) {
         bpred.update(e.pc, e.inst, e.exec.out.taken, e.exec.out.nextPC,
@@ -1642,7 +1641,7 @@ Core::trainPredictors(RobEntry &e)
 }
 
 void
-Core::recordCommitStats(RobEntry &e)
+Core::recordCommitStats(const RobEntry &e)
 {
     ++st.committedInsts;
     if (e.isLd || e.isSt) {
@@ -1743,8 +1742,7 @@ Core::commitStage()
                 --storeAddrPrefix;
         }
 
-        DstRegs d = dstRegs(e.inst);
-        for (RegId r : d.dst) {
+        for (RegId r : e.si->dst.dst) {
             if (r != REG_INVALID && regProducer[r].slot == robHead &&
                 regProducer[r].seq == e.seq) {
                 regProducer[r] = RobRef{};
@@ -1752,15 +1750,12 @@ Core::commitStage()
         }
 
         // Committed entries are finalized and resolved, so they left
-        // the scheduling sets already; the erases are idempotent
-        // belt-and-braces before the slot is reused.
-        readySet.erase(robHead);
-        ctrlSet.erase(robHead);
-        finalCand.erase(robHead);
-        // Consumers still linked for re-publication wakes see the
-        // committed value as architectural (and final) once the ref
-        // dies, so the links dissolve. A never-woken operand counts
-        // this as its publication. The finalize-waiter list drained
+        // the scheduling sets already (auditSched() checks that no
+        // set holds a dead slot). Consumers still linked for
+        // re-publication wakes see the committed value as
+        // architectural (and final) once the ref dies, so the links
+        // dissolve. A never-woken operand counts this as its
+        // publication. The finalize-waiter list drained
         // when this entry finalized; the walk is defensive.
         while (e.waiterHead >= 0) {
             int id = e.waiterHead;
@@ -2187,6 +2182,51 @@ Core::auditSched() const
     // from squashed incarnations may pad the wheel; pop validates).
     if (schedMode != SchedMode::Brute && wheel.size() < in_flight)
         auditFail("fewer wheel events than in-flight instructions");
+
+    // Dispatch reuses a slot without cleanup, so commit and squash
+    // must leave no waiter node of a dead slot linked.
+    for (unsigned slot = 0; slot < params.robEntries; ++slot) {
+        if (at(static_cast<int>(slot)).valid)
+            continue;
+        for (unsigned k = 0; k < 2; ++k) {
+            if (waiters[slot * 2 + k].prodSlot >= 0 ||
+                finWaiters[slot * 2 + k].prodSlot >= 0) {
+                auditFail("waiter node of dead slot " +
+                          std::to_string(slot) + " still linked");
+            }
+        }
+    }
+
+    // Predictor checkpoints: the live control instructions (ROB, then
+    // fetch queue, in program order) own consecutive slab slots ending
+    // right before the allocation cursor, so no live slot is recycled.
+    size_t n_slots = bpSlab.slots();
+    size_t live = 0;
+    forEachInOrder([&](int slot) {
+        live += at(slot).isCtrl ? 1 : 0;
+        return true;
+    });
+    for (const FetchedInst &f : fetchQueue)
+        live += f.isCtrl ? 1 : 0;
+    if (live > n_slots)
+        auditFail("more live control instructions than checkpoint slots");
+    size_t expect = (bpSlotNext + n_slots - live) % n_slots;
+    auto check_slot = [&](uint32_t got) {
+        if (got != expect)
+            auditFail("checkpoint slot " + std::to_string(got) +
+                      " out of fetch order (expected " +
+                      std::to_string(expect) + ")");
+        expect = (expect + 1) % n_slots;
+    };
+    forEachInOrder([&](int slot) {
+        if (at(slot).isCtrl)
+            check_slot(at(slot).bpSlot);
+        return true;
+    });
+    for (const FetchedInst &f : fetchQueue) {
+        if (f.isCtrl)
+            check_slot(f.bpSlot);
+    }
 }
 
 // ---------------------------------------------------------------- run
@@ -2427,6 +2467,7 @@ Core::restoreCheckpoint(CkptReader &r)
     fetchQueue.clear();
     storeQ.clear();
     storeAddrPrefix = 0;
+    bpSlotNext = 0;
     orderList.clear();
     orderHead = 0;
     readySet.clear();

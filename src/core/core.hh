@@ -52,75 +52,74 @@ struct RobRef
     bool valid() const { return slot >= 0; }
 };
 
-/** One in-flight instruction (reorder buffer / RUU entry). */
+/** The oracle (correct-for-this-path) execution of a dispatched
+ *  instruction, written in place by Emulator::execAt(). */
+struct OracleExec
+{
+    SemOut out;                   //!< semantic outcome
+    uint64_t srcVals[2] = {0, 0}; //!< architectural operand values used
+};
+
+/**
+ * One in-flight instruction (reorder buffer / RUU entry).
+ *
+ * Reset discipline (DESIGN.md §14): dispatch starts each incarnation
+ * by constructing the entry in place over the slot (placement new), so
+ * every field takes its default member initializer directly, with no
+ * temporary built and copied over the slot. Every field therefore has
+ * an initializer; dispatch then fills in the instruction's own facts.
+ * Fields are grouped by use: identity and the scheduler's per-cycle
+ * state first, the oracle record next, and dispatch/commit-only
+ * bookkeeping last.
+ */
 struct RobEntry
 {
+    // --- identity and static facts (assigned by dispatch) ----------
     bool valid = false;
+    bool isLd = false;
+    bool isSt = false;
+    bool isCtrl = false;
+    bool resolvable = false;    //!< cond branch or indirect jump
+    bool isHalt = false;
+    InstClass cls = InstClass::Nop;
+    uint8_t memSz = 0;
+    RegId srcReg[2] = {REG_INVALID, REG_INVALID}; //!< renamed sources
     uint64_t seq = 0;           //!< dynamic sequence number
     Addr pc = 0;
     Instr inst;
-    InstClass cls = InstClass::Nop;
-    const DecodeInfo *di = nullptr; //!< static decode info, cached at
-                                    //!< dispatch (never re-looked-up)
-    ExecResult exec;            //!< oracle outcome along this path
-    JournalMark postMark = 0;   //!< journal position after emu step
+    const StaticInst *si = nullptr; //!< static decode facts, cached at
+                                    //!< fetch (never re-derived)
+    RobRef srcRob[2];           //!< in-flight producers (invalid = arch)
     uint64_t dispatchCycle = 0;
 
-    // Renamed sources.
-    RegId srcReg[2] = {REG_INVALID, REG_INVALID};
-    RobRef srcRob[2];           //!< in-flight producers (invalid = arch)
-
-    // Dataflow timing state.
+    // --- dataflow timing state --------------------------------------
     bool needsExec = true;      //!< occupies an FU when issued
     bool inFlight = false;      //!< execution outstanding
-    uint64_t completeAt = 0;    //!< scheduled completion cycle
     bool executedOnce = false;
-    int execCount = 0;
     bool hasValue = false;      //!< some value (pred/reuse/computed)
-    uint64_t readyTime = 0;     //!< cycle the current value is usable
     bool finalized = false;     //!< value verified non-speculative
+    bool curResult2Valid = false;
+    bool curTaken = false;
+    bool memAddrKnown = false;  //!< address computed (or reused/pred)
+    bool predicted = false;
+    bool addrPredicted = false;
+    bool reused = false;        //!< full result reuse
+    bool addrReused = false;
+    bool reusedLate = false;    //!< Figure 3 late-validation reuse hit
+    bool storeAddrReady = false; //!< AGEN done (for disambiguation)
+    bool usedFinal[2] = {true, true};
+    int execCount = 0;
+    uint64_t completeAt = 0;    //!< scheduled completion cycle
+    uint64_t readyTime = 0;     //!< cycle the current value is usable
     uint64_t finalizeAt = UINT64_MAX;
     uint64_t usedVals[2] = {0, 0};   //!< operand values of last issue
-    bool usedFinal[2] = {true, true};
 
     // Current (possibly speculative) values.
     uint64_t curResult = 0;
     uint64_t curResult2 = 0;
-    bool curResult2Valid = false;
-    bool curTaken = false;
     Addr curNextPC = 0;
     Addr curMemAddr = 0;
-    bool memAddrKnown = false;  //!< address computed (or reused/pred)
-
-    // Value prediction state.
-    bool predicted = false;
     uint64_t predValue = 0;
-    VptPrediction madePred;     //!< for VPT training
-    bool addrPredicted = false;
-    uint64_t addrPredValue = 0;
-    VptPrediction madeAddrPred;
-
-    // Instruction reuse state.
-    bool reused = false;        //!< full result reuse
-    bool addrReused = false;
-    RbRef rbEntry;              //!< entry inserted to / reused from
-    bool rbInserted = false;
-
-    // Control state.
-    bool isCtrl = false;
-    bool resolvable = false;    //!< cond branch or indirect jump
-    bool predTaken = false;     //!< fetch's predicted direction
-    Addr predNextPC = 0;        //!< fetch's original prediction
-    Addr followedNextPC = 0;    //!< path fetch currently follows
-    uint32_t ghrUsed = 0;
-    bool fromRas = false;
-    BpredCheckpoint bpCp;
-    bool pendingResolve = false;   //!< a publication needs SB action
-    bool finalActionDone = false;  //!< final-outcome action happened
-    bool resolvedForFetch = false; //!< counts against the 8-branch cap
-    bool legitSquashCounted = false;
-    uint64_t correctResolveAt = UINT64_MAX; //!< first oracle-consistent
-                                            //!< resolution (Figure 4)
 
     // Pending execution outputs (published at completion).
     uint64_t pendResult = 0;
@@ -128,15 +127,6 @@ struct RobEntry
     bool pendTaken = false;
     Addr pendNextPC = 0;
     Addr pendMemAddr = 0;
-
-    bool reusedLate = false;    //!< Figure 3 late-validation reuse hit
-    // Memory state.
-    bool isLd = false;
-    bool isSt = false;
-    unsigned memSz = 0;
-    bool storeAddrReady = false; //!< AGEN done (for disambiguation)
-
-    bool isHalt = false;
 
     // Incremental-scheduler state (see DESIGN.md §13).
     /** Operands still waiting on a live producer's first publication;
@@ -149,6 +139,32 @@ struct RobEntry
     /** Head of this entry's finalize-waiter list (consumers parked
      *  until this entry finalizes), indexing Core::finWaiters. */
     int finWaiterHead = -1;
+
+    // Control state.
+    bool pendingResolve = false;   //!< a publication needs SB action
+    bool finalActionDone = false;  //!< final-outcome action happened
+    bool resolvedForFetch = false; //!< counts against the 8-branch cap
+    Addr followedNextPC = 0;    //!< path fetch currently follows
+                                //!< (dispatch: the fetch prediction)
+
+    // --- oracle outcome along this path (Emulator::execAt) ----------
+    OracleExec exec;
+
+    // --- dispatch/commit-only bookkeeping ---------------------------
+    JournalMark postMark = 0;   //!< journal position after emu step
+    bool predTaken = false;     //!< fetch's predicted direction
+    bool fromRas = false;
+    bool legitSquashCounted = false;
+    bool rbInserted = false;
+    Addr predNextPC = 0;        //!< fetch's original prediction
+    uint32_t ghrUsed = 0;
+    uint32_t bpSlot = 0;        //!< checkpoint slab slot (isCtrl only)
+    uint64_t correctResolveAt = UINT64_MAX; //!< first oracle-consistent
+                                            //!< resolution (Figure 4)
+    RbRef rbEntry;              //!< entry inserted to / reused from
+    uint64_t addrPredValue = 0;
+    VptPrediction madePred;     //!< for VPT training
+    VptPrediction madeAddrPred;
 };
 
 /** Load/store queue entry. */
@@ -158,19 +174,21 @@ struct LsqEntry
     bool isLoad = false;
 };
 
-/** Everything fetch hands to dispatch for one instruction. */
+/** Everything fetch hands to dispatch for one instruction. The
+ *  instruction itself is re-read from the program text at dispatch,
+ *  and a control instruction's predictor snapshot lives in the
+ *  core's checkpoint slab (slot bpSlot), not in the record. */
 struct FetchedInst
 {
     Addr pc = 0;
-    Instr inst;
-    const DecodeInfo *di = nullptr; //!< cached per static instruction
+    Addr predNextPC = 0;
+    const StaticInst *si = nullptr; //!< cached per static instruction
+    uint32_t ghrUsed = 0;
+    uint32_t bpSlot = 0;     //!< checkpoint slab slot (isCtrl only)
     bool isCtrl = false;
     bool resolvable = false; //!< cond branch or indirect jump
-    Addr predNextPC = 0;
     bool predTaken = false;
-    uint32_t ghrUsed = 0;
     bool fromRas = false;
-    BpredCheckpoint bpCp;
 };
 
 /** Dump and reset the VPIR_BPRED_DEBUG per-PC histogram. */
@@ -264,11 +282,13 @@ class Core
         }
     }
 
-    /** Decode info of the text instruction at @p pc (must be valid). */
-    const DecodeInfo *
+    /** Decode facts of the text instruction at @p pc (must be valid),
+     *  from the emulator's per-static-instruction table, so the
+     *  pipeline never re-decodes a dynamic instruction. */
+    const StaticInst *
     decodeAt(Addr pc) const
     {
-        return decodeCache[(pc - prog.textBase) / 4];
+        return &emu.decodeAt(pc);
     }
 
     /** Value of register @p reg as produced by entry @p e. */
@@ -293,7 +313,9 @@ class Core
      *  Under VPIR_LSQ_XCHECK, cross-checked against a full LSQ scan. */
     uint64_t oldestUnknownStoreSeq() const;
 
-    void issueEntry(int slot);
+    /** Issue @p slot with the operand views the issue check just took
+     *  (nothing changes operand state in between). */
+    void issueEntry(int slot, const OperandView (&v)[2]);
     void completeEntry(int slot);
     void doResolve(int slot, Addr computed_next, bool is_final);
     void squashAfter(int slot, Addr redirect);
@@ -329,8 +351,12 @@ class Core
     /** Mark @p e resolved for the fetch-side branch cap, keeping the
      *  unresolved-control counter in step. */
     void noteResolvedForFetch(RobEntry &e);
-    /** Members of @p s in program (sequence) order, into @p out. */
-    void collectInOrder(const SlotSet &s, std::vector<int> &out) const;
+    /** The issue stage's evaluation of one candidate slot. */
+    void issueCandidate(int slot, unsigned &issued);
+    /** The finalize check of one candidate slot. */
+    void finalizeCandidate(int slot);
+    /** The resolution check of one control candidate slot. */
+    void resolveCandidate(int slot);
     /** Record a cycle at which a time gate opens (idle-skip bound). */
     void
     noteWake(uint64_t at) const
@@ -342,8 +368,8 @@ class Core
     *   counters vs brute-force recomputation). */
     void auditSched() const;
 
-    void recordCommitStats(RobEntry &e);
-    void trainPredictors(RobEntry &e);
+    void recordCommitStats(const RobEntry &e);
+    void trainPredictors(const RobEntry &e);
     void checkRetired(const RobEntry &e);
     [[noreturn]] void watchdogDump();
 
@@ -374,9 +400,6 @@ class Core
     std::unique_ptr<LockstepChecker> checker;
 
     // --- machine state ----------------------------------------------
-    /** DecodeInfo per static instruction, built once at construction
-     *  so the pipeline never re-decodes a dynamic instruction. */
-    std::vector<const DecodeInfo *> decodeCache;
     /**
      * Program-order list of live ROB slots, maintained incrementally
      * instead of being rebuilt from a ring walk every cycle: dispatch
@@ -450,13 +473,26 @@ class Core
     mutable uint64_t schedWake = UINT64_MAX;
     /** Any state mutation this cycle? Idle skipping requires none. */
     bool cycleHadWork = false;
-    /** Scratch for candidate collection (no per-cycle allocation). */
+    /** Scratch for candidate collection (no per-cycle allocation). The
+     *  fast scheduler walks its sets in place (SlotSet::forEachLiveFrom)
+     *  and needs it only for the wheel's due completions. */
     std::vector<int> schedScratch;
     std::vector<WheelEvent> dueScratch;
     std::vector<int> xcheckScratch;
     SchedProfile prof;
 
     std::vector<RobEntry> rob;
+    /**
+     * Branch-predictor snapshots of in-flight control instructions,
+     * one slab slot each, taken at fetch and restored by a squash.
+     * Slots go out in fetch order from bpSlotNext; a squash rewinds
+     * the cursor to just past the squashing instruction's slot, so
+     * the live slots are always the consecutive run ending before
+     * the cursor. robEntries + fetchQueueSize slots therefore never
+     * recycle a live one (auditSched() checks the run).
+     */
+    BpredCheckpointSlab bpSlab;
+    uint32_t bpSlotNext = 0;
     int robHead = 0;
     int robTail = 0; //!< next free slot
     unsigned robUsed = 0;

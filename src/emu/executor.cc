@@ -44,7 +44,7 @@ slo32(uint64_t v)
 
 SemOut
 evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
-          const MemReadFn &mem)
+          MemReadFn mem)
 {
     SemOut o;
     o.nextPC = pc + 4;
@@ -227,7 +227,10 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
 }
 
 Emulator::Emulator(const Program &program, EmuState &state)
-    : prog(program), st(state), curPC(program.entry)
+    : prog(program),
+      decoded(predecode(program.text)),
+      st(state),
+      curPC(program.entry)
 {
 }
 
@@ -242,56 +245,67 @@ Emulator::loadProgram(const Program &program, EmuState &state)
 }
 
 ExecResult
-Emulator::stepAt(Addr pc)
-{
-    curPC = pc;
-    return step();
-}
-
-ExecResult
 Emulator::step()
 {
     ExecResult r;
     r.pc = curPC;
     r.preMark = st.mark();
-
     const Instr *ip = prog.at(curPC);
-    if (!ip) {
-        // Off the end of text (wrong path): behaves as a halt; the
-        // core never lets such instructions commit.
-        r.inst.op = Op::HALT;
+    if (ip)
+        r.inst = *ip;
+    else
+        r.inst.op = Op::HALT; // off the text segment: behaves as a halt
+    if (!ip || ip->op == Op::HALT) {
         r.halted = true;
         isHalted = true;
         return r;
     }
-    r.inst = *ip;
-
-    if (ip->op == Op::HALT) {
-        r.halted = true;
-        isHalted = true;
-        return r;
-    }
-
-    SrcRegs s = srcRegs(*ip);
-    r.srcVals[0] = s.src[0] != REG_INVALID ? st.readReg(s.src[0]) : 0;
-    r.srcVals[1] = s.src[1] != REG_INVALID ? st.readReg(s.src[1]) : 0;
-
-    MemReadFn mem = [this](Addr a, unsigned sz) {
-        return st.readMem(a, sz);
-    };
-    r.out = evalInstr(*ip, curPC, r.srcVals[0], r.srcVals[1], mem);
-
-    if (isStore(ip->op))
-        st.writeMem(r.out.memAddr, memSize(ip->op), r.out.storeValue);
-
-    DstRegs d = dstRegs(*ip);
-    if (d.dst[0] != REG_INVALID)
-        st.writeReg(d.dst[0], r.out.result);
-    if (d.dst[1] != REG_INVALID)
-        st.writeReg(d.dst[1], r.out.result2);
-
-    curPC = r.out.nextPC;
+    execute(*ip, r.out, r.srcVals);
     return r;
+}
+
+bool
+Emulator::execAt(Addr pc, SemOut &out, uint64_t (&src_vals)[2])
+{
+    curPC = pc;
+    const Instr *ip = prog.at(curPC);
+    if (!ip || ip->op == Op::HALT) {
+        // Off the end of text (wrong path) behaves as a halt; the core
+        // never lets such instructions commit.
+        out = SemOut{};
+        src_vals[0] = src_vals[1] = 0;
+        isHalted = true;
+        return false;
+    }
+    execute(*ip, out, src_vals);
+    return true;
+}
+
+void
+Emulator::execute(const Instr &inst, SemOut &out, uint64_t (&src_vals)[2])
+{
+    const StaticInst &si = decoded[static_cast<size_t>(&inst -
+                                                       prog.text.data())];
+    src_vals[0] = si.src.src[0] != REG_INVALID ? st.readReg(si.src.src[0])
+                                               : 0;
+    src_vals[1] = si.src.src[1] != REG_INVALID ? st.readReg(si.src.src[1])
+                                               : 0;
+
+    const EmuState &mem_state = st;
+    auto read = [&mem_state](Addr a, unsigned sz) {
+        return mem_state.readMem(a, sz);
+    };
+    out = evalInstr(inst, curPC, src_vals[0], src_vals[1], read);
+
+    if (si.info->cls == InstClass::Store)
+        st.writeMem(out.memAddr, si.info->memSz, out.storeValue);
+
+    if (si.dst.dst[0] != REG_INVALID)
+        st.writeReg(si.dst.dst[0], out.result);
+    if (si.dst.dst[1] != REG_INVALID)
+        st.writeReg(si.dst.dst[1], out.result2);
+
+    curPC = out.nextPC;
 }
 
 EmuSnapshot

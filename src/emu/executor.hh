@@ -12,7 +12,9 @@
 #ifndef VPIR_EMU_EXECUTOR_HH
 #define VPIR_EMU_EXECUTOR_HH
 
-#include <functional>
+#include <cstddef>
+#include <memory>
+#include <type_traits>
 
 #include "asm/assembler.hh"
 #include "emu/state.hh"
@@ -33,8 +35,45 @@ struct SemOut
     uint64_t storeValue = 0;  //!< memory: value stored
 };
 
-/** Callback used by loads to read memory during evaluation. */
-using MemReadFn = std::function<uint64_t(Addr, unsigned)>;
+/**
+ * Callback used by loads to read memory during evaluation: a
+ * non-owning reference to any callable `uint64_t(Addr, unsigned)`.
+ * Building one is two pointer stores (no std::function, no heap), so
+ * the emulator and the core make one per evaluated instruction. It
+ * refers to the callable it was made from and must not outlive it:
+ * it binds only to named (lvalue) callables, so a temporary lambda
+ * cannot leave it dangling; pass it down a call, never store it.
+ */
+class MemReadFn
+{
+  public:
+    /** No reader: loads evaluate to 0. */
+    MemReadFn(std::nullptr_t = nullptr) {}
+
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::remove_cv_t<F>, MemReadFn>>>
+    MemReadFn(F &f)
+        : ctx(const_cast<void *>(
+              static_cast<const void *>(std::addressof(f)))),
+          fn([](void *c, Addr a, unsigned sz) -> uint64_t {
+              return (*static_cast<F *>(c))(a, sz);
+          })
+    {
+    }
+
+    explicit operator bool() const { return fn != nullptr; }
+
+    uint64_t
+    operator()(Addr a, unsigned sz) const
+    {
+        return fn(ctx, a, sz);
+    }
+
+  private:
+    void *ctx = nullptr;
+    uint64_t (*fn)(void *, Addr, unsigned) = nullptr;
+};
 
 /**
  * Evaluate an instruction given its operand values.
@@ -46,7 +85,7 @@ using MemReadFn = std::function<uint64_t(Addr, unsigned)>;
  * @param mem   Memory reader for loads; when null, loads return 0.
  */
 SemOut evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
-                 const MemReadFn &mem);
+                 MemReadFn mem);
 
 /** A fully executed dynamic instruction, as seen by the dispatcher. */
 struct ExecResult
@@ -71,8 +110,15 @@ class Emulator
     /** Execute the instruction at the current PC. */
     ExecResult step();
 
-    /** Execute the instruction at an explicit PC (sets PC first). */
-    ExecResult stepAt(Addr pc);
+    /**
+     * Execute the instruction at @p pc (sets PC first), writing only
+     * its semantic outcome and operand values into the caller's
+     * storage (the core's dispatch path fills its ROB entry
+     * in place). @p out and @p src_vals are fully written, zeroed for
+     * a halt. @return false when the instruction halts (HALT, or a PC
+     * off the text segment).
+     */
+    bool execAt(Addr pc, SemOut &out, uint64_t (&src_vals)[2]);
 
     Addr pc() const { return curPC; }
     void setPC(Addr pc) { curPC = pc; }
@@ -86,13 +132,29 @@ class Emulator
     void setHalt(bool h) { isHalted = h; }
 
     const Program &program() const { return prog; }
+
+    /** Decode facts of the text instruction at @p pc, which must lie
+     *  in the text segment. */
+    const StaticInst &
+    decodeAt(Addr pc) const
+    {
+        return decoded[(pc - prog.textBase) / 4];
+    }
     EmuState &state() { return st; }
 
     /** Load the program image and initial registers into the state. */
     static void loadProgram(const Program &program, EmuState &state);
 
   private:
+    /** Execute @p inst (an element of prog.text, not HALT) at curPC;
+     *  advances curPC. */
+    void execute(const Instr &inst, SemOut &out, uint64_t (&src_vals)[2]);
+
     const Program &prog;
+    /** predecode(prog.text): per-step source/destination registers and
+     *  access size without re-deriving them; the core reads it through
+     *  decodeAt(). */
+    std::vector<StaticInst> decoded;
     EmuState &st;
     Addr curPC;
     bool isHalted = false;

@@ -14,25 +14,6 @@ EmuState::EmuState()
     regs.fill(0);
 }
 
-uint64_t
-EmuState::readReg(RegId r) const
-{
-    VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
-    if (r == REG_ZERO)
-        return 0;
-    return regs[r];
-}
-
-void
-EmuState::writeReg(RegId r, uint64_t value)
-{
-    VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
-    if (r == REG_ZERO)
-        return;
-    journal.push_back(UndoRec{true, r, 0, 0, regs[r]});
-    regs[r] = value;
-}
-
 void
 EmuState::initReg(RegId r, uint64_t value)
 {
@@ -46,7 +27,11 @@ EmuState::Page &
 EmuState::pageFor(Addr addr)
 {
     uint32_t pn = addr >> pageBits;
-    auto &p = pages[pn];
+    if (!pageCache.slot || pageCache.pn != pn) {
+        pageCache.slot = &pages[pn];
+        pageCache.pn = pn;
+    }
+    PageSlot &p = *pageCache.slot;
     if (!p) {
         p = std::make_shared<Page>();
         p->fill(0);
@@ -65,8 +50,18 @@ EmuState::pageFor(Addr addr)
 const EmuState::Page *
 EmuState::pageForRead(Addr addr) const
 {
-    auto it = pages.find(addr >> pageBits);
-    return it == pages.end() ? nullptr : it->second.get();
+    uint32_t pn = addr >> pageBits;
+    if (pageCache.slot && pageCache.pn == pn)
+        return pageCache.slot->get();
+    auto it = pages.find(pn);
+    if (it == pages.end())
+        return nullptr; // absent pages are not cached: a write creates
+                        // them through pageFor(), which re-points it
+    // The map itself is not const (only this accessor is); the cached
+    // slot is written through only by pageFor().
+    pageCache.slot = const_cast<PageSlot *>(&it->second);
+    pageCache.pn = pn;
+    return it->second.get();
 }
 
 size_t
@@ -161,7 +156,7 @@ void
 EmuState::rollback(JournalMark m)
 {
     VPIR_ASSERT(m >= journalBase, "rollback past retired state");
-    while (journalBase + journal.size() > m) {
+    while (mark() > m) {
         const UndoRec &u = journal.back();
         if (u.isReg)
             regs[u.reg] = u.oldValue;
@@ -174,18 +169,29 @@ EmuState::rollback(JournalMark m)
 void
 EmuState::retire(JournalMark m)
 {
-    VPIR_ASSERT(m <= journalBase + journal.size(),
-                "retire beyond journal head");
-    while (journalBase < m) {
-        journal.pop_front();
-        ++journalBase;
+    VPIR_ASSERT(m <= mark(), "retire beyond journal head");
+    if (m <= journalBase)
+        return;
+    journalHead += static_cast<size_t>(m - journalBase);
+    journalBase = m;
+    if (journalHead == journal.size()) {
+        // Nothing live: drop the retired prefix for free (the vector
+        // keeps its capacity).
+        journal.clear();
+        journalHead = 0;
+    } else if (journalHead >= JOURNAL_COMPACT &&
+               2 * journalHead >= journal.size()) {
+        journal.erase(journal.begin(),
+                      journal.begin() +
+                          static_cast<std::ptrdiff_t>(journalHead));
+        journalHead = 0;
     }
 }
 
 void
 EmuState::serialize(CkptWriter &w) const
 {
-    VPIR_ASSERT(journal.empty(),
+    VPIR_ASSERT(journalDepth() == 0,
                 "checkpoint with live speculation in the journal");
     for (uint64_t r : regs)
         w.u64(r);
@@ -211,6 +217,8 @@ EmuState::deserialize(CkptReader &r)
         reg = r.u64();
     journalBase = r.u64();
     journal.clear();
+    journalHead = 0;
+    pageCache.reset();
     pages.clear();
     uint64_t count = r.u64();
     if (count > r.remaining() / pageSize) {

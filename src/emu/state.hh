@@ -18,6 +18,14 @@
  * refcounts make concurrent clones of one immutable snapshot safe:
  * writers clone before touching a page whose count exceeds one, and
  * a count of one means this state is the sole owner.
+ *
+ * Hot-path layout (DESIGN.md §14): the undo journal is a vector with
+ * a consumed-prefix head that is compacted in bulk, and a one-entry
+ * page cache remembers the map slot of the last page touched, so the
+ * common run of accesses to one page skips the hash lookup. The cache
+ * is per-object: copying, moving or deserializing a state resets it,
+ * and it points at this state's own map slot (never at a page), so a
+ * copy-on-write clone of the page behind it cannot leave it stale.
  */
 
 #ifndef VPIR_EMU_STATE_HH
@@ -25,11 +33,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/ckpt_io.hh"
+#include "common/logging.hh"
 #include "isa/instr.hh"
 #include "isa/regs.hh"
 
@@ -47,10 +56,23 @@ class EmuState
 
     // --- registers ---------------------------------------------------
     /** Read a register (r0 reads as zero). */
-    uint64_t readReg(RegId r) const;
+    uint64_t
+    readReg(RegId r) const
+    {
+        VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
+        return r == REG_ZERO ? 0 : regs[r];
+    }
 
     /** Journaled register write (writes to r0 are dropped). */
-    void writeReg(RegId r, uint64_t value);
+    void
+    writeReg(RegId r, uint64_t value)
+    {
+        VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
+        if (r == REG_ZERO)
+            return;
+        journal.push_back(UndoRec{true, r, 0, 0, regs[r]});
+        regs[r] = value;
+    }
 
     /** Non-journaled write, for initialisation only. */
     void initReg(RegId r, uint64_t value);
@@ -71,7 +93,11 @@ class EmuState
     // --- journal -------------------------------------------------------
     /** Current journal position; instructions record this before
      *  executing so squashes can restore the state exactly. */
-    JournalMark mark() const { return journalBase + journal.size(); }
+    JournalMark
+    mark() const
+    {
+        return journalBase + (journal.size() - journalHead);
+    }
 
     /** Undo all writes made at or after @p m. */
     void rollback(JournalMark m);
@@ -80,7 +106,7 @@ class EmuState
     void retire(JournalMark m);
 
     /** Number of live journal records (test/diagnostic hook). */
-    size_t journalDepth() const { return journal.size(); }
+    size_t journalDepth() const { return journal.size() - journalHead; }
 
     // --- copy-on-write observability ---------------------------------
     /** Pages resident in this state's sparse map. */
@@ -119,6 +145,44 @@ class EmuState
     static constexpr unsigned pageBits = 12;
     static constexpr uint32_t pageSize = 1u << pageBits;
     using Page = std::array<uint8_t, pageSize>;
+    using PageSlot = std::shared_ptr<Page>;
+
+    /** Retired records at the journal's head are compacted away (one
+     *  bulk move) once at least this many have accumulated and they
+     *  outnumber the live ones. */
+    static constexpr size_t JOURNAL_COMPACT = 1024;
+
+    /** The last page-map slot looked up. Copies and moves of the
+     *  owning state start empty (the slot belongs to the source's
+     *  map), and a move also empties the source. */
+    struct PageCache
+    {
+        uint32_t pn = 0;
+        PageSlot *slot = nullptr;
+
+        PageCache() = default;
+        PageCache(const PageCache &) {}
+        PageCache(PageCache &&o) noexcept { o.reset(); }
+        PageCache &
+        operator=(const PageCache &)
+        {
+            reset();
+            return *this;
+        }
+        PageCache &
+        operator=(PageCache &&o) noexcept
+        {
+            reset();
+            o.reset();
+            return *this;
+        }
+        void
+        reset()
+        {
+            pn = 0;
+            slot = nullptr;
+        }
+    };
 
     Page &pageFor(Addr addr);
     const Page *pageForRead(Addr addr) const;
@@ -129,10 +193,16 @@ class EmuState
     std::array<uint64_t, NUM_ARCH_REGS> regs;
     /** shared_ptr, not unique_ptr: the default copy operations then
      *  implement the COW clone (pages shared until written). */
-    std::unordered_map<uint32_t, std::shared_ptr<Page>> pages;
-    std::deque<UndoRec> journal;
+    std::unordered_map<uint32_t, PageSlot> pages;
+    /** Undo records; [journalHead, size) are live, the prefix before
+     *  journalHead is retired and awaits compaction. */
+    std::vector<UndoRec> journal;
+    size_t journalHead = 0;
+    /** Mark of journal[journalHead] (the oldest live record). */
     JournalMark journalBase = 0;
     uint64_t cowFaults_ = 0;
+    /** Read-side lookups go through a const path, hence mutable. */
+    mutable PageCache pageCache;
 };
 
 } // namespace vpir

@@ -19,157 +19,4 @@ fuPoolSize(FuType t)
     }
 }
 
-namespace
-{
-
-/** Build the per-opcode decode table once (latencies from Table 1). */
-std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)>
-buildTable()
-{
-    using C = InstClass;
-    using F = FuType;
-    std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)> t{};
-
-    auto set = [&t](Op op, C c, F f, uint8_t lat, uint8_t iss) {
-        t[static_cast<size_t>(op)] = DecodeInfo{c, f, lat, iss};
-    };
-
-    set(Op::NOP, C::Nop, F::None, 0, 0);
-    set(Op::HALT, C::Halt, F::None, 0, 0);
-
-    for (Op op : {Op::ADD, Op::SUB, Op::AND, Op::OR, Op::XOR, Op::NOR,
-                  Op::SLT, Op::SLTU, Op::SLLV, Op::SRLV, Op::SRAV,
-                  Op::ADDI, Op::ANDI, Op::ORI, Op::XORI, Op::SLTI,
-                  Op::SLTIU, Op::SLL, Op::SRL, Op::SRA, Op::LUI, Op::LI,
-                  Op::MFHI, Op::MFLO}) {
-        set(op, C::IntAlu, F::IntAlu, 1, 1);
-    }
-
-    for (Op op : {Op::MULT, Op::MULTU})
-        set(op, C::IntMult, F::IntMulDiv, 3, 1);
-    for (Op op : {Op::DIV, Op::DIVU})
-        set(op, C::IntDiv, F::IntMulDiv, 20, 19);
-
-    for (Op op : {Op::LB, Op::LBU, Op::LH, Op::LHU, Op::LW, Op::L_D})
-        set(op, C::Load, F::LoadStore, 1, 1);
-    for (Op op : {Op::SB, Op::SH, Op::SW, Op::S_D})
-        set(op, C::Store, F::LoadStore, 1, 1);
-
-    for (Op op : {Op::BEQ, Op::BNE, Op::BLEZ, Op::BGTZ, Op::BLTZ,
-                  Op::BGEZ, Op::BC1T, Op::BC1F}) {
-        set(op, C::Branch, F::IntAlu, 1, 1);
-    }
-    for (Op op : {Op::J, Op::JAL, Op::JR, Op::JALR})
-        set(op, C::Jump, F::IntAlu, 1, 1);
-
-    for (Op op : {Op::ADD_D, Op::SUB_D, Op::C_EQ_D, Op::C_LT_D,
-                  Op::C_LE_D, Op::CVT_D_W, Op::CVT_W_D, Op::MOV_D,
-                  Op::NEG_D}) {
-        set(op, C::FpAdd, F::FpAdder, 2, 1);
-    }
-    set(Op::MUL_D, C::FpMult, F::FpMulDiv, 4, 1);
-    set(Op::DIV_D, C::FpDiv, F::FpMulDiv, 12, 12);
-    set(Op::SQRT_D, C::FpSqrt, F::FpMulDiv, 24, 24);
-
-    return t;
-}
-
-const std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)> decodeTable =
-    buildTable();
-
-} // anonymous namespace
-
-const DecodeInfo &
-decodeInfo(Op op)
-{
-    return decodeTable[static_cast<size_t>(op)];
-}
-
-SrcRegs
-srcRegs(const Instr &inst)
-{
-    SrcRegs s{{REG_INVALID, REG_INVALID}};
-    switch (inst.op) {
-      case Op::NOP:
-      case Op::HALT:
-      case Op::J:
-      case Op::JAL:
-      case Op::LUI:
-      case Op::LI:
-        break;
-
-      case Op::BC1T:
-      case Op::BC1F:
-        s.src[0] = REG_FCC;
-        break;
-
-      case Op::MFHI:
-        s.src[0] = REG_HI;
-        break;
-      case Op::MFLO:
-        s.src[0] = REG_LO;
-        break;
-
-      // rs-only forms.
-      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
-      case Op::SLTI: case Op::SLTIU:
-      case Op::SLL: case Op::SRL: case Op::SRA:
-      case Op::BLEZ: case Op::BGTZ: case Op::BLTZ: case Op::BGEZ:
-      case Op::JR: case Op::JALR:
-      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU:
-      case Op::LW: case Op::L_D:
-      case Op::CVT_D_W:
-      case Op::MOV_D: case Op::NEG_D: case Op::SQRT_D:
-      case Op::CVT_W_D:
-        s.src[0] = inst.rs;
-        break;
-
-      // rs+rt forms.
-      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR:
-      case Op::XOR: case Op::NOR: case Op::SLT: case Op::SLTU:
-      case Op::SLLV: case Op::SRLV: case Op::SRAV:
-      case Op::MULT: case Op::MULTU: case Op::DIV: case Op::DIVU:
-      case Op::BEQ: case Op::BNE:
-      case Op::SB: case Op::SH: case Op::SW: case Op::S_D:
-      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        s.src[0] = inst.rs;
-        s.src[1] = inst.rt;
-        break;
-
-      default:
-        panic("srcRegs: unhandled opcode");
-    }
-    // r0 reads are not dependences.
-    for (RegId &r : s.src) {
-        if (r == REG_ZERO)
-            r = REG_INVALID;
-    }
-    return s;
-}
-
-DstRegs
-dstRegs(const Instr &inst)
-{
-    DstRegs d{{inst.rd, inst.rd2}};
-    // Writes to r0 are discarded.
-    for (RegId &r : d.dst) {
-        if (r == REG_ZERO)
-            r = REG_INVALID;
-    }
-    return d;
-}
-
-unsigned
-memSize(Op op)
-{
-    switch (op) {
-      case Op::LB: case Op::LBU: case Op::SB: return 1;
-      case Op::LH: case Op::LHU: case Op::SH: return 2;
-      case Op::LW: case Op::SW: return 4;
-      case Op::L_D: case Op::S_D: return 8;
-      default: return 0;
-    }
-}
-
 } // namespace vpir

@@ -6,35 +6,28 @@
 namespace vpir
 {
 
-Cache::Cache(const CacheParams &p) : params(p)
+Cache::Cache(const CacheParams &p)
+    : params(p),
+      numSets(p.ways >= 1 && p.lineBytes
+                  ? p.sizeBytes / (p.lineBytes * p.ways)
+                  : 0),
+      lineShift(floorLog2(p.lineBytes)),
+      tagShift(floorLog2(p.lineBytes) + floorLog2(numSets)),
+      lines(static_cast<size_t>(numSets) * p.ways),
+      lru(numSets, p.ways >= 1 ? p.ways : 1)
 {
     VPIR_ASSERT(isPowerOf2(p.lineBytes), "line size not a power of two");
     VPIR_ASSERT(p.ways >= 1, "need at least one way");
-    numSets = p.sizeBytes / (p.lineBytes * p.ways);
     VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    lines.assign(numSets, std::vector<Line>(p.ways));
-    lru.assign(numSets, LruSet(p.ways));
-}
-
-uint32_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr / params.lineBytes) & (numSets - 1);
-}
-
-uint32_t
-Cache::tagOf(Addr addr) const
-{
-    return (addr / params.lineBytes) / numSets;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    const auto &set = lines[setIndex(addr)];
+    const Line *set = &lines[setIndex(addr) * params.ways];
     uint32_t tag = tagOf(addr);
-    for (const Line &l : set) {
-        if (l.valid && l.tag == tag)
+    for (unsigned w = 0; w < params.ways; ++w) {
+        if (set[w].valid && set[w].tag == tag)
             return true;
     }
     return false;
@@ -46,30 +39,28 @@ Cache::access(Addr addr)
     ++nAccesses;
     uint32_t si = setIndex(addr);
     uint32_t tag = tagOf(addr);
-    auto &set = lines[si];
+    Line *set = &lines[si * params.ways];
 
-    for (unsigned w = 0; w < set.size(); ++w) {
+    for (unsigned w = 0; w < params.ways; ++w) {
         if (set[w].valid && set[w].tag == tag) {
-            lru[si].touch(w);
+            lru.touch(si, w);
             return params.hitLatency;
         }
     }
 
     ++nMisses;
-    unsigned victim = lru[si].victim();
+    unsigned victim = lru.victim(si);
     set[victim].valid = true;
     set[victim].tag = tag;
-    lru[si].touch(victim);
+    lru.touch(si, victim);
     return params.hitLatency + params.missLatency;
 }
 
 void
 Cache::reset()
 {
-    for (auto &set : lines) {
-        for (Line &l : set)
-            l.valid = false;
-    }
+    for (Line &l : lines)
+        l.valid = false;
     nAccesses = 0;
     nMisses = 0;
 }
@@ -79,14 +70,11 @@ Cache::serialize(CkptWriter &w) const
 {
     w.u32(numSets);
     w.u32(params.ways);
-    for (const auto &set : lines) {
-        for (const Line &l : set) {
-            w.b(l.valid);
-            w.u32(l.tag);
-        }
+    for (const Line &l : lines) {
+        w.b(l.valid);
+        w.u32(l.tag);
     }
-    for (const LruSet &s : lru)
-        s.serialize(w);
+    lru.serialize(w);
     w.u64(nAccesses);
     w.u64(nMisses);
 }
@@ -98,16 +86,12 @@ Cache::deserialize(CkptReader &r)
         r.fail();
         return false;
     }
-    for (auto &set : lines) {
-        for (Line &l : set) {
-            l.valid = r.b();
-            l.tag = r.u32();
-        }
+    for (Line &l : lines) {
+        l.valid = r.b();
+        l.tag = r.u32();
     }
-    for (LruSet &s : lru) {
-        if (!s.deserialize(r))
-            return false;
-    }
+    if (!lru.deserialize(r))
+        return false;
     nAccesses = r.u64();
     nMisses = r.u64();
     return r.ok();

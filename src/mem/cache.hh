@@ -57,7 +57,7 @@ class Cache
     bool
     sameLine(Addr a, Addr b) const
     {
-        return (a / params.lineBytes) == (b / params.lineBytes);
+        return (a >> lineShift) == (b >> lineShift);
     }
 
     /** Checkpoint tags, LRU state, and counters (geometry is rebuilt
@@ -74,13 +74,20 @@ class Cache
         uint32_t tag = 0;
     };
 
-    uint32_t setIndex(Addr addr) const;
-    uint32_t tagOf(Addr addr) const;
+    /** Line number -> set and tag by shift and mask (sizes are powers
+     *  of two, checked at construction). */
+    uint32_t setIndex(Addr addr) const
+    {
+        return (addr >> lineShift) & (numSets - 1);
+    }
+    uint32_t tagOf(Addr addr) const { return addr >> tagShift; }
 
     CacheParams params;
     uint32_t numSets;
-    std::vector<std::vector<Line>> lines; //!< [set][way]
-    std::vector<LruSet> lru;
+    unsigned lineShift; //!< log2(lineBytes)
+    unsigned tagShift;  //!< log2(lineBytes * numSets)
+    std::vector<Line> lines; //!< flat [set * ways + way]
+    LruTable lru;
     uint64_t nAccesses = 0;
     uint64_t nMisses = 0;
 };

@@ -8,23 +8,55 @@
 namespace vpir
 {
 
-ReuseBuffer::ReuseBuffer(const RbParams &p) : params(p)
+namespace
+{
+
+/** Bucket-count exponent for the load index: at least two buckets per
+ *  RB entry keeps chains short at any load occupancy. */
+unsigned
+loadIndexBits(unsigned entries)
+{
+    unsigned bits = 1;
+    while (bits < 31 && (1ull << bits) < 2ull * entries)
+        ++bits;
+    return bits;
+}
+
+/**
+ * Aligned words touched by an access of @p size bytes at @p addr, in
+ * the order the index has always enumerated them: from the word
+ * holding addr while below addr + size (32-bit arithmetic), capped at
+ * the most a load or store can touch and stopping at the top of the
+ * address space. @return the count written to @p out.
+ */
+unsigned
+coveredWords(Addr addr, unsigned size, Addr out[3])
+{
+    unsigned n = 0;
+    Addr end = addr + size;
+    for (Addr a = addr & ~3u; a < end && n < 3; a += 4) {
+        out[n++] = a;
+        if (a + 4 < a)
+            break;
+    }
+    return n;
+}
+
+} // anonymous namespace
+
+ReuseBuffer::ReuseBuffer(const RbParams &p)
+    : params(p),
+      numSets(p.ways >= 1 ? p.entries / p.ways : 0),
+      setBits(floorLog2(numSets)),
+      entries(p.entries, Entry()),
+      lru(numSets, p.ways >= 1 ? p.ways : 1),
+      loadBucketBits(loadIndexBits(p.entries)),
+      loadBuckets(size_t{1} << loadBucketBits, -1),
+      loadNodes(static_cast<size_t>(p.entries) * MAX_LOAD_WORDS)
 {
     VPIR_ASSERT(p.ways >= 1 && p.entries % p.ways == 0,
                 "entries must divide into ways");
-    numSets = p.entries / p.ways;
     VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    entries.assign(p.entries, Entry());
-    lru.assign(numSets, LruSet(p.ways));
-    // One bucket per entry is a comfortable upper bound on distinct
-    // load words tracked at once; avoids steady-state rehashing.
-    loadIndex.reserve(p.entries);
-}
-
-uint32_t
-ReuseBuffer::setIndex(Addr pc) const
-{
-    return foldPC(pc, floorLog2(numSets));
 }
 
 bool
@@ -112,7 +144,8 @@ ReuseBuffer::noteReused(const RbProbeResult &hit, const Instr &inst)
     Entry &e = entries[hit.entry.idx];
     if (e.serial != hit.entry.serial)
         return; // overwritten between probe and use; nothing to note
-    lru[hit.entry.idx / params.ways].touch(hit.entry.idx % params.ways);
+    lru.touch(static_cast<size_t>(hit.entry.idx) / params.ways,
+              static_cast<unsigned>(hit.entry.idx) % params.ways);
     if (e.fromSquashed)
         e.fromSquashed = false; // recovery credit consumed once
 }
@@ -121,22 +154,39 @@ void
 ReuseBuffer::registerLoad(int idx)
 {
     const Entry &e = entries[idx];
-    for (Addr a = e.memAddr & ~3u; a < e.memAddr + e.memSz; a += 4)
-        loadIndex[a].push_back(idx);
+    Addr words[MAX_LOAD_WORDS];
+    unsigned n = coveredWords(e.memAddr, e.memSz, words);
+    for (unsigned j = 0; j < n; ++j) {
+        int id = idx * static_cast<int>(MAX_LOAD_WORDS) +
+                 static_cast<int>(j);
+        LoadNode &node = loadNodes[id];
+        int &head = loadBuckets[loadBucket(words[j])];
+        node.word = words[j];
+        node.prev = -1;
+        node.next = head;
+        node.linked = true;
+        if (head >= 0)
+            loadNodes[head].prev = id;
+        head = id;
+    }
 }
 
 void
 ReuseBuffer::unregisterLoad(int idx)
 {
-    const Entry &e = entries[idx];
-    for (Addr a = e.memAddr & ~3u; a < e.memAddr + e.memSz; a += 4) {
-        auto it = loadIndex.find(a);
-        if (it == loadIndex.end())
+    for (unsigned j = 0; j < MAX_LOAD_WORDS; ++j) {
+        int id = idx * static_cast<int>(MAX_LOAD_WORDS) +
+                 static_cast<int>(j);
+        LoadNode &node = loadNodes[id];
+        if (!node.linked)
             continue;
-        auto &v = it->second;
-        v.erase(std::remove(v.begin(), v.end(), idx), v.end());
-        if (v.empty())
-            loadIndex.erase(it);
+        if (node.prev >= 0)
+            loadNodes[node.prev].next = node.next;
+        else
+            loadBuckets[loadBucket(node.word)] = node.next;
+        if (node.next >= 0)
+            loadNodes[node.next].prev = node.prev;
+        node = LoadNode{};
     }
 }
 
@@ -170,7 +220,7 @@ ReuseBuffer::insert(const RbInsertInfo &info)
             }
         }
         if (way < 0)
-            way = static_cast<int>(lru[si].victim());
+            way = static_cast<int>(lru.victim(si));
     }
 
     int idx = static_cast<int>(si * params.ways + way);
@@ -178,8 +228,8 @@ ReuseBuffer::insert(const RbInsertInfo &info)
 
     const bool new_ld = isLoad(info.inst.op);
     const unsigned new_sz = memSize(info.inst.op);
-    // A refreshed load covering the same span keeps its loadIndex
-    // registrations; only a changed span pays the map updates.
+    // A refreshed load covering the same span keeps its load-index
+    // registrations; only a changed span relinks them.
     const bool same_span = e.valid && e.isLd && new_ld &&
                            e.memAddr == info.memAddr && e.memSz == new_sz;
     if (e.valid && e.isLd && !same_span)
@@ -209,7 +259,7 @@ ReuseBuffer::insert(const RbInsertInfo &info)
     if (new_ld && !same_span)
         registerLoad(idx);
 
-    lru[si].touch(static_cast<unsigned>(way));
+    lru.touch(si, static_cast<unsigned>(way));
     return RbRef{idx, e.serial};
 }
 
@@ -228,12 +278,15 @@ ReuseBuffer::linkSources(const RbRef &ref, const RbRef src_links[2])
 void
 ReuseBuffer::storeInvalidate(Addr addr, unsigned size)
 {
-    for (Addr a = addr & ~3u; a < addr + size; a += 4) {
-        auto it = loadIndex.find(a);
-        if (it == loadIndex.end())
-            continue;
-        for (int idx : it->second)
-            entries[idx].memValid = false;
+    Addr words[MAX_LOAD_WORDS];
+    unsigned n = coveredWords(addr, size, words);
+    for (unsigned j = 0; j < n; ++j) {
+        for (int id = loadBuckets[loadBucket(words[j])]; id >= 0;
+             id = loadNodes[id].next) {
+            if (loadNodes[id].word == words[j])
+                entries[id / static_cast<int>(MAX_LOAD_WORDS)].memValid =
+                    false;
+        }
     }
 }
 
@@ -248,11 +301,18 @@ ReuseBuffer::markSquashed(const RbRef &ref)
 }
 
 void
+ReuseBuffer::clearLoadIndex()
+{
+    std::fill(loadBuckets.begin(), loadBuckets.end(), -1);
+    std::fill(loadNodes.begin(), loadNodes.end(), LoadNode{});
+}
+
+void
 ReuseBuffer::reset()
 {
     for (Entry &e : entries)
         e.valid = false;
-    loadIndex.clear();
+    clearLoadIndex();
 }
 
 unsigned
@@ -288,31 +348,38 @@ ReuseBuffer::audit() const
             return at + "entry outside its PC's set";
         if (e.isLd) {
             // Every covered word must index back to this entry,
-            // exactly once.
-            for (Addr a = e.memAddr & ~3u; a < e.memAddr + e.memSz;
-                 a += 4) {
-                ++expect_regs;
-                auto it = loadIndex.find(a);
-                unsigned hits = 0;
-                if (it != loadIndex.end()) {
-                    for (int idx : it->second) {
-                        if (idx == static_cast<int>(i))
-                            ++hits;
-                    }
-                }
-                if (hits != 1) {
-                    return at + "load registered " +
-                           std::to_string(hits) +
-                           " times for a covered word";
-                }
+            // exactly once: through the node the entry owns for it,
+            // linked into the word's bucket chain.
+            Addr words[MAX_LOAD_WORDS];
+            unsigned n = coveredWords(e.memAddr, e.memSz, words);
+            expect_regs += n;
+            for (unsigned j = 0; j < n; ++j) {
+                const LoadNode &node = loadNodes[i * MAX_LOAD_WORDS + j];
+                if (!node.linked || node.word != words[j])
+                    return at + "load not registered for a covered word";
             }
         }
     }
-    // No stale registrations: the index holds exactly the valid load
-    // entries' covered words, nothing else.
+    // No stale registrations: the chains hold exactly the valid load
+    // entries' covered words, each node in the bucket its word hashes
+    // to, owned by a valid load entry, with consistent back links.
     size_t total_regs = 0;
-    for (const auto &kv : loadIndex)
-        total_regs += kv.second.size();
+    for (size_t b = 0; b < loadBuckets.size(); ++b) {
+        int prev = -1;
+        for (int id = loadBuckets[b]; id >= 0; id = loadNodes[id].next) {
+            const LoadNode &node = loadNodes[id];
+            const Entry &owner = entries[id / MAX_LOAD_WORDS];
+            if (!node.linked || loadBucket(node.word) != b ||
+                node.prev != prev || !owner.valid || !owner.isLd) {
+                return "RB load index chain " + std::to_string(b) +
+                       " holds a stale or misplaced registration";
+            }
+            if (++total_regs > loadNodes.size())
+                return "RB load index chain " + std::to_string(b) +
+                       " is cyclic";
+            prev = id;
+        }
+    }
     if (total_regs != expect_regs) {
         return "RB load index holds " + std::to_string(total_regs) +
                " registrations, entries imply " +
@@ -367,8 +434,7 @@ ReuseBuffer::serialize(CkptWriter &w) const
         w.u32(e.memSz);
         w.u64(e.serial);
     }
-    for (const LruSet &s : lru)
-        s.serialize(w);
+    lru.serialize(w);
     w.u64(nextSerial);
     for (const RbRef &ref : regLink)
         serializeRef(w, ref);
@@ -381,7 +447,7 @@ ReuseBuffer::deserialize(CkptReader &r)
         r.fail();
         return false;
     }
-    loadIndex.clear();
+    clearLoadIndex();
     for (Entry &e : entries) {
         e.valid = r.b();
         e.pc = r.u64();
@@ -403,10 +469,8 @@ ReuseBuffer::deserialize(CkptReader &r)
         e.memSz = r.u32();
         e.serial = r.u64();
     }
-    for (LruSet &s : lru) {
-        if (!s.deserialize(r))
-            return false;
-    }
+    if (!lru.deserialize(r))
+        return false;
     nextSerial = r.u64();
     for (RbRef &ref : regLink)
         ref = deserializeRef(r);

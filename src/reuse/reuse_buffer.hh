@@ -22,9 +22,9 @@
 #define VPIR_REUSE_REUSE_BUFFER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/ckpt_io.hh"
 #include "common/lru.hh"
 #include "isa/decode.hh"
@@ -180,23 +180,48 @@ class ReuseBuffer
         uint64_t serial = 0;
     };
 
-    uint32_t setIndex(Addr pc) const;
+    uint32_t setIndex(Addr pc) const { return foldPC(pc, setBits); }
     bool operandOk(const Operand &op, const RbOperandQuery &q) const;
     void unregisterLoad(int idx);
     void registerLoad(int idx);
+    void clearLoadIndex();
+    /** Bucket of the load index holding word address @p word. */
+    uint32_t
+    loadBucket(Addr word) const
+    {
+        return ((word >> 2) * 0x9e3779b1u) >> (32 - loadBucketBits);
+    }
 
     RbParams params;
     uint32_t numSets;
+    unsigned setBits; //!< log2(numSets), fixed at construction
     std::vector<Entry> entries;   //!< flat [set*ways + way]
-    std::vector<LruSet> lru;
+    LruTable lru;
     uint64_t nextSerial = 1;
 
     /** Last RB entry whose instruction wrote each register ('n'+'d'
      *  link formation). */
     RbRef regLink[NUM_ARCH_REGS];
 
-    /** word-address -> load entry indices covering it. */
-    std::unordered_map<Addr, std::vector<int>> loadIndex;
+    /**
+     * Load index: word address -> load entries covering it, as an
+     * intrusive chained hash table over preallocated nodes. A load
+     * covers at most MAX_LOAD_WORDS aligned words (8 bytes, unaligned),
+     * and entry idx owns nodes [idx * MAX_LOAD_WORDS, +MAX_LOAD_WORDS),
+     * so registering, unregistering and store invalidation never
+     * allocate. Node k is linked iff loadNodes[k].linked.
+     */
+    static constexpr unsigned MAX_LOAD_WORDS = 3;
+    struct LoadNode
+    {
+        Addr word = 0;   //!< aligned word address covered
+        int prev = -1;   //!< bucket-chain neighbours (node ids)
+        int next = -1;
+        bool linked = false;
+    };
+    unsigned loadBucketBits;
+    std::vector<int> loadBuckets; //!< chain heads (node id, -1 empty)
+    std::vector<LoadNode> loadNodes;
 };
 
 } // namespace vpir

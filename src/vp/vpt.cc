@@ -6,48 +6,45 @@
 namespace vpir
 {
 
-Vpt::Vpt(const VptParams &p) : params(p)
+Vpt::Vpt(const VptParams &p)
+    : params(p),
+      numSets(p.ways >= 1 ? p.entries / p.ways : 0),
+      setBits(floorLog2(numSets)),
+      entries(static_cast<size_t>(numSets) * p.ways),
+      lru(numSets, p.ways >= 1 ? p.ways : 1)
 {
     VPIR_ASSERT(p.ways >= 1 && p.entries % p.ways == 0,
                 "entries must divide into ways");
-    numSets = p.entries / p.ways;
     VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    sets.assign(numSets, std::vector<Entry>(p.ways));
-    lru.assign(numSets, LruSet(p.ways));
 }
 
-uint32_t
-Vpt::setIndex(Addr pc) const
+int
+Vpt::findValue(uint32_t si, Addr pc, uint64_t value) const
 {
-    return foldPC(pc, floorLog2(numSets));
-}
-
-Vpt::Entry *
-Vpt::findValue(Addr pc, uint64_t value)
-{
-    auto &set = sets[setIndex(pc)];
-    for (Entry &e : set) {
+    const Entry *set = setAt(si);
+    for (unsigned w = 0; w < params.ways; ++w) {
+        const Entry &e = set[w];
         if (e.valid && e.pc == pc && e.value == value)
-            return &e;
+            return static_cast<int>(w);
     }
-    return nullptr;
+    return -1;
 }
 
 void
 Vpt::insert(Addr pc, uint64_t value)
 {
     uint32_t si = setIndex(pc);
-    auto &set = sets[si];
+    Entry *set = setAt(si);
     // Prefer an invalid way; otherwise evict LRU.
-    unsigned victim = set.size();
-    for (unsigned w = 0; w < set.size(); ++w) {
+    unsigned victim = params.ways;
+    for (unsigned w = 0; w < params.ways; ++w) {
         if (!set[w].valid) {
             victim = w;
             break;
         }
     }
-    if (victim == set.size())
-        victim = lru[si].victim();
+    if (victim == params.ways)
+        victim = lru.victim(si);
 
     Entry &e = set[victim];
     e.valid = true;
@@ -57,7 +54,7 @@ Vpt::insert(Addr pc, uint64_t value)
     // before they are used for prediction. This is what keeps
     // VP_Magic's misprediction rate low on rotating value sequences.
     e.conf.reset(0);
-    lru[si].touch(victim);
+    lru.touch(si, victim);
 }
 
 VptPrediction
@@ -65,14 +62,14 @@ Vpt::predict(Addr pc, uint64_t oracle)
 {
     VptPrediction r;
     uint32_t si = setIndex(pc);
-    auto &set = sets[si];
+    Entry *set = setAt(si);
 
     if (params.scheme == VpScheme::Lvp) {
         // At most one instance per pc by construction of update().
-        for (unsigned w = 0; w < set.size(); ++w) {
+        for (unsigned w = 0; w < params.ways; ++w) {
             Entry &e = set[w];
             if (e.valid && e.pc == pc) {
-                lru[si].touch(w);
+                lru.touch(si, w);
                 if (e.conf.atLeast(params.confidenceThreshold)) {
                     r.valid = true;
                     r.value = e.value;
@@ -87,13 +84,13 @@ Vpt::predict(Addr pc, uint64_t oracle)
     // selector of Wang & Franklin would pick it) once it has been
     // observed at least twice; otherwise fall back to the most
     // confident instance, which needs full confidence.
-    Entry *best = nullptr;
-    for (unsigned w = 0; w < set.size(); ++w) {
-        Entry &e = set[w];
+    const Entry *best = nullptr;
+    for (unsigned w = 0; w < params.ways; ++w) {
+        const Entry &e = set[w];
         if (!e.valid || e.pc != pc)
             continue;
         if (e.value == oracle && e.conf.atLeast(1)) {
-            lru[si].touch(w);
+            lru.touch(si, w);
             r.valid = true;
             r.value = e.value;
             return r;
@@ -116,9 +113,10 @@ Vpt::predict(Addr pc, uint64_t oracle)
 void
 Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
 {
+    uint32_t si = setIndex(pc);
+    Entry *set = setAt(si);
     if (params.scheme == VpScheme::Lvp) {
-        auto &set = sets[setIndex(pc)];
-        for (unsigned w = 0; w < set.size(); ++w) {
+        for (unsigned w = 0; w < params.ways; ++w) {
             Entry &e = set[w];
             if (e.valid && e.pc == pc) {
                 if (e.value == actual) {
@@ -127,7 +125,7 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
                     e.conf.decrement();
                     e.value = actual; // last value semantics
                 }
-                lru[setIndex(pc)].touch(w);
+                lru.touch(si, w);
                 return;
             }
         }
@@ -139,19 +137,14 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
     // (inserting if missing); silence a wrongly predicted instance
     // so stale values stop being offered.
     if (made.valid && made.value != actual) {
-        if (Entry *e = findValue(pc, made.value))
-            e->conf.reset(0);
+        int w = findValue(si, pc, made.value);
+        if (w >= 0)
+            set[w].conf.reset(0);
     }
-    if (Entry *e = findValue(pc, actual)) {
-        e->conf.increment();
-        // Refresh recency of the matching way.
-        auto &set = sets[setIndex(pc)];
-        for (unsigned w = 0; w < set.size(); ++w) {
-            if (&set[w] == e) {
-                lru[setIndex(pc)].touch(w);
-                break;
-            }
-        }
+    int w = findValue(si, pc, actual);
+    if (w >= 0) {
+        set[w].conf.increment();
+        lru.touch(si, static_cast<unsigned>(w)); // refresh recency
     } else {
         insert(pc, actual);
     }
@@ -160,18 +153,17 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
 void
 Vpt::reset()
 {
-    for (auto &set : sets) {
-        for (Entry &e : set)
-            e.valid = false;
-    }
+    for (Entry &e : entries)
+        e.valid = false;
 }
 
 unsigned
 Vpt::instancesFor(Addr pc) const
 {
+    const Entry *set = setAt(setIndex(pc));
     unsigned n = 0;
-    for (const Entry &e : sets[setIndex(pc)]) {
-        if (e.valid && e.pc == pc)
+    for (unsigned w = 0; w < params.ways; ++w) {
+        if (set[w].valid && set[w].pc == pc)
             ++n;
     }
     return n;
@@ -181,7 +173,8 @@ std::string
 Vpt::audit() const
 {
     for (uint32_t s = 0; s < numSets; ++s) {
-        for (const Entry &e : sets[s]) {
+        for (unsigned w = 0; w < params.ways; ++w) {
+            const Entry &e = setAt(s)[w];
             if (!e.valid)
                 continue;
             if (setIndex(e.pc) != s) {
@@ -202,16 +195,13 @@ Vpt::serialize(CkptWriter &w) const
 {
     w.u32(numSets);
     w.u32(params.ways);
-    for (const auto &set : sets) {
-        for (const Entry &e : set) {
-            w.b(e.valid);
-            w.u64(e.pc);
-            w.u64(e.value);
-            w.u8(static_cast<uint8_t>(e.conf.value()));
-        }
+    for (const Entry &e : entries) {
+        w.b(e.valid);
+        w.u64(e.pc);
+        w.u64(e.value);
+        w.u8(static_cast<uint8_t>(e.conf.value()));
     }
-    for (const LruSet &s : lru)
-        s.serialize(w);
+    lru.serialize(w);
 }
 
 bool
@@ -221,24 +211,18 @@ Vpt::deserialize(CkptReader &r)
         r.fail();
         return false;
     }
-    for (auto &set : sets) {
-        for (Entry &e : set) {
-            e.valid = r.b();
-            e.pc = r.u64();
-            e.value = r.u64();
-            unsigned c = r.u8();
-            if (c > e.conf.max()) {
-                r.fail();
-                return false;
-            }
-            e.conf.reset(c);
-        }
-    }
-    for (LruSet &s : lru) {
-        if (!s.deserialize(r))
+    for (Entry &e : entries) {
+        e.valid = r.b();
+        e.pc = r.u64();
+        e.value = r.u64();
+        unsigned c = r.u8();
+        if (c > e.conf.max()) {
+            r.fail();
             return false;
+        }
+        e.conf.reset(c);
     }
-    return r.ok();
+    return lru.deserialize(r);
 }
 
 } // namespace vpir

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/ckpt_io.hh"
 #include "common/lru.hh"
 #include "common/sat_counter.hh"
@@ -95,24 +96,32 @@ class Vpt
     bool deserialize(CkptReader &r);
 
   private:
+    /** 16 bytes: a 4-way set spans one cache line. */
     struct Entry
     {
-        bool valid = false;
-        Addr pc = 0;
         uint64_t value = 0;
-        SatCounter conf;
-
-        Entry() : conf(2, 0) {}
+        Addr pc = 0;
+        SatCounter<2> conf;
+        bool valid = false;
     };
 
-    uint32_t setIndex(Addr pc) const;
-    Entry *findValue(Addr pc, uint64_t value);
+    uint32_t setIndex(Addr pc) const { return foldPC(pc, setBits); }
+    /** First way of set @p si in the flat entry array. */
+    Entry *setAt(uint32_t si) { return &entries[si * params.ways]; }
+    const Entry *
+    setAt(uint32_t si) const
+    {
+        return &entries[si * params.ways];
+    }
+    /** Way holding (@p pc, @p value) in set @p si, or -1. */
+    int findValue(uint32_t si, Addr pc, uint64_t value) const;
     void insert(Addr pc, uint64_t value);
 
     VptParams params;
     uint32_t numSets;
-    std::vector<std::vector<Entry>> sets;
-    std::vector<LruSet> lru;
+    unsigned setBits; //!< log2(numSets), fixed at construction
+    std::vector<Entry> entries; //!< flat [set * ways + way]
+    LruTable lru;
 };
 
 } // namespace vpir

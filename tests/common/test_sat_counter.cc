@@ -8,7 +8,7 @@ using namespace vpir;
 
 TEST(SatCounter, SaturatesHigh)
 {
-    SatCounter c(2, 0);
+    SatCounter<2> c(0);
     for (int i = 0; i < 10; ++i)
         c.increment();
     EXPECT_EQ(c.value(), 3u);
@@ -17,7 +17,7 @@ TEST(SatCounter, SaturatesHigh)
 
 TEST(SatCounter, SaturatesLow)
 {
-    SatCounter c(2, 3);
+    SatCounter<2> c(3);
     for (int i = 0; i < 10; ++i)
         c.decrement();
     EXPECT_EQ(c.value(), 0u);
@@ -25,7 +25,7 @@ TEST(SatCounter, SaturatesLow)
 
 TEST(SatCounter, IsSetAboveMidpoint)
 {
-    SatCounter c(2, 0);
+    SatCounter<2> c(0);
     EXPECT_FALSE(c.isSet());
     c.increment(); // 1
     EXPECT_FALSE(c.isSet());
@@ -37,7 +37,7 @@ TEST(SatCounter, IsSetAboveMidpoint)
 
 TEST(SatCounter, AtLeastThreshold)
 {
-    SatCounter c(3, 5);
+    SatCounter<3> c(5);
     EXPECT_TRUE(c.atLeast(5));
     EXPECT_TRUE(c.atLeast(0));
     EXPECT_FALSE(c.atLeast(6));
@@ -45,7 +45,7 @@ TEST(SatCounter, AtLeastThreshold)
 
 TEST(SatCounter, ResetToValue)
 {
-    SatCounter c(2, 3);
+    SatCounter<2> c(3);
     c.reset(1);
     EXPECT_EQ(c.value(), 1u);
     c.reset();
@@ -55,7 +55,7 @@ TEST(SatCounter, ResetToValue)
 /** Property: a counter never leaves [0, max] under random walks. */
 TEST(SatCounter, StaysBoundedUnderRandomWalk)
 {
-    SatCounter c(3, 4);
+    SatCounter<3> c(4);
     uint64_t s = 12345;
     for (int i = 0; i < 10000; ++i) {
         s = s * 6364136223846793005ull + 1442695040888963407ull;
@@ -67,18 +67,42 @@ TEST(SatCounter, StaysBoundedUnderRandomWalk)
     }
 }
 
+/** Up to 8 bits a counter is one byte, so large tables stay dense. */
+TEST(SatCounter, PackedStorage)
+{
+    EXPECT_EQ(sizeof(SatCounter<2>), 1u);
+    EXPECT_EQ(sizeof(SatCounter<8>), 1u);
+    EXPECT_EQ(sizeof(SatCounter<15>), 2u);
+}
+
+/** Count a BITS-bit counter up past saturation; it must stop at
+ *  2^BITS - 1. */
+template <unsigned BITS>
+void
+checkWidth()
+{
+    SatCounter<BITS> c(0);
+    EXPECT_EQ(c.max(), (1u << BITS) - 1);
+    for (unsigned i = 0; i < c.max() + 5; ++i)
+        c.increment();
+    EXPECT_EQ(c.value(), c.max());
+}
+
 class SatCounterWidth : public ::testing::TestWithParam<unsigned>
 {
 };
 
 TEST_P(SatCounterWidth, MaxMatchesWidth)
 {
-    unsigned bits = GetParam();
-    SatCounter c(bits, 0);
-    EXPECT_EQ(c.max(), (1u << bits) - 1);
-    for (unsigned i = 0; i < c.max() + 5; ++i)
-        c.increment();
-    EXPECT_EQ(c.value(), c.max());
+    switch (GetParam()) {
+      case 1: checkWidth<1>(); break;
+      case 2: checkWidth<2>(); break;
+      case 3: checkWidth<3>(); break;
+      case 4: checkWidth<4>(); break;
+      case 8: checkWidth<8>(); break;
+      case 15: checkWidth<15>(); break;
+      default: FAIL() << "no instantiation for width " << GetParam();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, SatCounterWidth,

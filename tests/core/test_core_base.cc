@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asm/assembler.hh"
+#include "common/logging.hh"
 #include "core/core.hh"
 #include "sim/configs.hh"
+#include "sweep/params_json.hh"
 #include "workload/wregs.hh"
 
 using namespace vpir;
@@ -299,4 +303,63 @@ TEST(CoreBase, ExecCountHistogramAllOnesWithoutVP)
     EXPECT_GT(st.execCountHist[0], 0u);
     EXPECT_EQ(st.execCountHist[1], 0u); // nothing re-executes
     EXPECT_EQ(st.execCountHist[2], 0u);
+}
+
+namespace
+{
+
+/** The panic message of building a core from @p p ("" if it builds). */
+std::string
+coreRejection(const CoreParams &p)
+{
+    Program prog = serialChain(4);
+    PanicThrowScope throws;
+    try {
+        Core c(p, prog);
+    } catch (const SimError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // anonymous namespace
+
+/** Invalid predictor geometry reaching the core through CoreParams is
+ *  refused at construction with a clear message, not a crash on the
+ *  first predicted call or an undefined shift. */
+TEST(CoreParamsValidation, BadPredictorGeometryPanicsAtConstruction)
+{
+    CoreParams p = baseConfig();
+    p.bpred.rasEntries = 0;
+    EXPECT_NE(coreRejection(p).find("rasEntries"), std::string::npos);
+    p = baseConfig();
+    p.bpred.historyBits = 15; // 16K entries: 14 index bits
+    EXPECT_NE(coreRejection(p).find("historyBits"), std::string::npos);
+    p.bpred.historyBits = 32;
+    EXPECT_NE(coreRejection(p).find("historyBits"), std::string::npos);
+}
+
+/** Repro bundles carry every bpred.* field through params_json, so a
+ *  hand-edited or corrupted bundle reaches the same check. */
+TEST(CoreParamsValidation, BadPredictorGeometryFromParamsJson)
+{
+    struct Case
+    {
+        const char *field;
+        const char *value;
+        const char *named; //!< what the panic message must name
+    };
+    for (const Case &c : {Case{"bpred.rasEntries", "0", "rasEntries"},
+                          Case{"bpred.historyBits", "40", "historyBits"}}) {
+        std::string json = sweep::paramsToJson(baseConfig());
+        std::string key = std::string("\"") + c.field + "\":";
+        size_t at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << json;
+        size_t end = json.find_first_of(",}", at);
+        json.replace(at, end - at, key + c.value);
+        CoreParams p;
+        ASSERT_TRUE(sweep::paramsFromJson(json, p)) << json;
+        EXPECT_NE(coreRejection(p).find(c.named), std::string::npos)
+            << c.field;
+    }
 }

@@ -270,8 +270,10 @@ TEST(Emulator, OffTextPCHalts)
     Program p = a.finish();
     EmuState st;
     Emulator emu(p, st);
-    ExecResult r = emu.stepAt(0xdead0000);
-    EXPECT_TRUE(r.halted);
+    SemOut out;
+    uint64_t src_vals[2];
+    EXPECT_FALSE(emu.execAt(0xdead0000, out, src_vals));
+    EXPECT_TRUE(emu.halted());
 }
 
 TEST(Emulator, SrcValsCaptureOperands)
