@@ -12,6 +12,7 @@
 
 #include "bpred/bpred.hh"
 #include "common/rng.hh"
+#include "emu/engine.hh"
 #include "mem/cache.hh"
 #include "reuse/reuse_buffer.hh"
 #include "sim/simulator.hh"
@@ -117,24 +118,24 @@ BENCHMARK(BM_GsharePredictTrain);
 void
 BM_FunctionalEmulation(benchmark::State &state)
 {
+    // Non-speculative functional throughput (the fast-forward path):
+    // the FuncEngine over gcc, restarted whenever the program halts.
     WorkloadScale sc;
     sc.factor = 1.0;
     Workload w = makeWorkload("gcc", sc);
     auto st = std::make_unique<EmuState>();
-    auto emu = std::make_unique<Emulator>(w.program, *st);
     Emulator::loadProgram(w.program, *st);
+    auto eng = std::make_unique<FuncEngine>(w.program, *st);
     uint64_t insts = 0;
     for (auto _ : state) {
-        if (emu->halted()) {
+        if (eng->halted()) {
             state.PauseTiming();
             st = std::make_unique<EmuState>();
-            emu = std::make_unique<Emulator>(w.program, *st);
             Emulator::loadProgram(w.program, *st);
+            eng = std::make_unique<FuncEngine>(w.program, *st);
             state.ResumeTiming();
         }
-        emu->step();
-        st->retire(st->mark());
-        ++insts;
+        insts += eng->run(1024);
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
 }

@@ -10,24 +10,13 @@ namespace vpir
 {
 
 LockstepChecker::LockstepChecker(const Program &program,
-                                 uint64_t warmupInsts,
-                                 const EmuSnapshot *warm)
-    : emu(program, state)
+                                 const EmuSnapshot &warm)
+    : state(warm.state), // COW page share; writes fault private
+      engine(program, state)
 {
-    if (warm) {
-        VPIR_ASSERT(warm->warmupInsts == warmupInsts,
-                    "warm snapshot built for a different warmup length");
-        state = warm->state; // COW page share; writes fault private
-        emu.setPC(warm->pc);
-        return;
-    }
-    Emulator::loadProgram(program, state);
-    // Mirror the core's functional warmup so the checked region starts
-    // with both machines in the same architectural state.
-    for (uint64_t i = 0; i < warmupInsts && !emu.halted(); ++i) {
-        emu.step();
-        state.retire(state.mark());
-    }
+    // Where the core starts fetching: a warmup that ran the program to
+    // its HALT restarts it from the entry PC.
+    engine.setPC(warm.halted ? program.entry : warm.pc);
 }
 
 void
@@ -42,15 +31,15 @@ LockstepChecker::onRetire(const Retired &r)
         return;
     }
 
-    if (emu.pc() != r.pc) {
+    if (engine.pc() != r.pc) {
         diverge(r, "retired PC " + std::to_string(r.pc) +
                        " but the reference machine is at PC " +
-                       std::to_string(emu.pc()));
+                       std::to_string(engine.pc()));
     }
 
-    ExecResult x = emu.step();
-    // Keep the reference journal empty: every replayed write is final.
-    state.retire(state.mark());
+    SemOut x;
+    uint64_t src_vals[2];
+    engine.step(x, src_vals);
 
     std::ostringstream mismatch;
     auto expect = [&](const char *field, uint64_t want, uint64_t got) {
@@ -62,15 +51,15 @@ LockstepChecker::onRetire(const Retired &r)
     };
 
     if (r.inst.rd != REG_INVALID)
-        expect("result(rd)", x.out.result, r.result);
+        expect("result(rd)", x.result, r.result);
     if (r.inst.rd2 != REG_INVALID)
-        expect("result2(rd2)", x.out.result2, r.result2);
+        expect("result2(rd2)", x.result2, r.result2);
     if (isControl(r.inst.op))
-        expect("nextPC", x.out.nextPC, r.nextPC);
+        expect("nextPC", x.nextPC, r.nextPC);
     if (isMem(r.inst.op))
-        expect("memAddr", x.out.memAddr, r.memAddr);
+        expect("memAddr", x.memAddr, r.memAddr);
     if (isStore(r.inst.op))
-        expect("storeValue", x.out.storeValue, r.storeValue);
+        expect("storeValue", x.storeValue, r.storeValue);
 
     std::string bad = mismatch.str();
     if (!bad.empty())
@@ -141,8 +130,8 @@ void
 LockstepChecker::serialize(CkptWriter &w) const
 {
     state.serialize(w);
-    w.u32(emu.pc());
-    w.b(emu.halted());
+    w.u32(engine.pc());
+    w.b(engine.halted());
     w.u64(checked);
     w.u64(ringCount);
     for (const Retired &r : ring) {
@@ -163,8 +152,8 @@ LockstepChecker::deserialize(CkptReader &r)
 {
     if (!state.deserialize(r))
         return false;
-    emu.setPC(r.u32());
-    emu.setHalt(r.b());
+    engine.setPC(r.u32());
+    engine.setHalt(r.b());
     checked = r.u64();
     ringCount = static_cast<size_t>(r.u64());
     for (Retired &e : ring) {

@@ -6,8 +6,9 @@
  * undo journal, so a simulator bug (or an injected reuse-buffer fault
  * that slips past early validation) can silently commit a wrong value
  * into architectural state. The checker closes that hole: it owns a
- * completely independent EmuState + Emulator pair and replays every
- * instruction the core RETIRES, in retirement order, comparing
+ * completely independent EmuState, stepped by a journal-free
+ * FuncEngine, and replays every instruction the core RETIRES, in
+ * retirement order, comparing
  *
  *   - path continuity (the retired PC must be where the independent
  *     machine's PC points),
@@ -21,8 +22,10 @@
  * instructions — and calls panic(), which a PanicThrowScope turns
  * into a catchable SimError.
  *
- * The checker shares nothing with the core's emulation state; it only
- * reads the same immutable Program. That independence is the point.
+ * The checker shares nothing mutable with the core's emulation state:
+ * it reads the same immutable Program, and starts from a copy-on-write
+ * clone of the same warm snapshot, so the first write either machine
+ * makes to a page clones it. That independence is the point.
  */
 
 #ifndef VPIR_CHECK_CHECKER_HH
@@ -32,7 +35,7 @@
 #include <cstdint>
 
 #include "common/ckpt_io.hh"
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "emu/state.hh"
 #include "isa/instr.hh"
 
@@ -57,19 +60,15 @@ class LockstepChecker
 {
   public:
     /**
-     * @param program      The (immutable) program image, shared with
-     *                     the core by reference.
-     * @param warmupInsts  Instructions the core retires functionally
-     *                     before timing starts; replayed here so both
-     *                     machines start the checked region aligned.
-     * @param warm         Optional post-warmup snapshot for the same
-     *                     (program, warmupInsts): cloned copy-on-write
-     *                     instead of replaying the warmup. The checker
-     *                     still shares no *mutable* state with the
-     *                     core — both write-fault private pages.
+     * @param program  The (immutable) program image, shared with the
+     *                 core by reference.
+     * @param warm     The post-warmup snapshot the core starts from,
+     *                 so both machines start the checked region
+     *                 aligned. Cloned copy-on-write: the checker still
+     *                 shares no *mutable* state with the core — both
+     *                 write-fault private pages.
      */
-    LockstepChecker(const Program &program, uint64_t warmupInsts,
-                    const EmuSnapshot *warm = nullptr);
+    LockstepChecker(const Program &program, const EmuSnapshot &warm);
 
     /** Cross-validate one retired instruction; panics on divergence. */
     void onRetire(const Retired &r);
@@ -88,7 +87,7 @@ class LockstepChecker
     std::string history() const;
 
     EmuState state;
-    Emulator emu;
+    FuncEngine engine;
     uint64_t checked = 0;
 
     static constexpr size_t histSize = 32;

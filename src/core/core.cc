@@ -45,9 +45,27 @@ Core::Core(const CoreParams &p, const Program &program,
       storeQ(p.lsqEntries),
       fetchPC(program.entry)
 {
+    // Functional fast-forward (paper §4.1.5): the first warmupInsts
+    // instructions run on the functional engine alone, and timing
+    // starts from wherever the program got to. A core started without
+    // a shared snapshot builds a private one, so every start takes
+    // the same path.
+    EmuSnapshot cold;
+    if (!warm) {
+        cold = makeWarmSnapshot(program, p.warmupInsts);
+        warm = &cold;
+    }
+    VPIR_ASSERT(warm->warmupInsts == p.warmupInsts,
+                "warm snapshot built for a different warmup length");
     if (p.checkRetire)
-        checker = std::make_unique<LockstepChecker>(program, p.warmupInsts,
-                                                    warm);
+        checker = std::make_unique<LockstepChecker>(program, *warm);
+    // The clone is O(pages-resident) pointer copies; writes fault
+    // private pages (see emu/state.hh).
+    state = warm->state;
+    fetchPC = warm->halted ? prog.entry : warm->pc;
+    if (warm->halted)
+        warn("warmup consumed the whole program");
+
     for (auto &r : regProducer)
         r = RobRef{};
     lsqXcheck = parseEnvU64("VPIR_LSQ_XCHECK", 0) != 0;
@@ -71,33 +89,6 @@ Core::Core(const CoreParams &p, const Program &program,
     // 2x capacity: orderHead compaction runs only when the consumed
     // prefix reaches robEntries, so the vector never reallocates.
     orderList.reserve(2 * p.robEntries);
-
-    if (warm) {
-        // Warm start: clone the shared post-warmup snapshot instead of
-        // loading the image and replaying the warmup. The clone is
-        // O(pages-resident) pointer copies; writes fault private pages
-        // (see emu/state.hh). Must end bit-identical to the cold path
-        // below, warning included.
-        VPIR_ASSERT(warm->warmupInsts == p.warmupInsts,
-                    "warm snapshot built for a different warmup length");
-        state = warm->state;
-        fetchPC = warm->halted ? prog.entry : warm->pc;
-        if (warm->halted)
-            warn("warmup consumed the whole program");
-        return;
-    }
-
-    Emulator::loadProgram(program, state);
-    // Functional fast-forward (paper §4.1.5): execute the first
-    // warmupInsts instructions on the emulator alone, then start the
-    // timing simulation from wherever the program got to.
-    for (uint64_t i = 0; i < p.warmupInsts && !emu.halted(); ++i) {
-        emu.step();
-        state.retire(state.mark());
-    }
-    fetchPC = emu.halted() ? prog.entry : emu.pc();
-    if (emu.halted())
-        warn("warmup consumed the whole program");
 }
 
 // ------------------------------------------------------------ helpers

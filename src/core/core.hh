@@ -33,6 +33,7 @@
 #include "core/sched_profile.hh"
 #include "core/fu_pool.hh"
 #include "core/params.hh"
+#include "emu/engine.hh"
 #include "emu/executor.hh"
 #include "emu/state.hh"
 #include "isa/decode.hh"
@@ -200,12 +201,13 @@ class Core
   public:
     /**
      * @param warm  Optional post-warmup snapshot for the same
-     *              (program, params.warmupInsts): the image load and
-     *              functional warmup are replaced by an O(pages)
-     *              copy-on-write clone. Must have been built by
-     *              makeWarmSnapshot() on the same program with the
-     *              same warmup length; the resulting machine is
-     *              bit-identical to a cold-started one.
+     *              (program, params.warmupInsts), shared with other
+     *              cores: the image load and functional warmup are
+     *              replaced by an O(pages) copy-on-write clone. Must
+     *              have been built by makeWarmSnapshot() on the same
+     *              program with the same warmup length. Without one,
+     *              the core builds a private snapshot the same way,
+     *              so both starts are bit-identical.
      */
     Core(const CoreParams &params, const Program &program,
          const EmuSnapshot *warm = nullptr);

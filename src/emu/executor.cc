@@ -1,229 +1,18 @@
 #include "emu/executor.hh"
 
-#include <cmath>
-#include <cstring>
-
-#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace vpir
 {
 
-namespace
-{
-
-double
-asDouble(uint64_t bits)
-{
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-}
-
-uint64_t
-asBits(double d)
-{
-    uint64_t b;
-    std::memcpy(&b, &d, sizeof(b));
-    return b;
-}
-
-uint32_t
-lo32(uint64_t v)
-{
-    return static_cast<uint32_t>(v);
-}
-
-int32_t
-slo32(uint64_t v)
-{
-    return static_cast<int32_t>(lo32(v));
-}
-
-} // anonymous namespace
-
 SemOut
 evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
           MemReadFn mem)
 {
-    SemOut o;
-    o.nextPC = pc + 4;
-
-    const uint32_t a = lo32(src0);
-    const uint32_t b = lo32(src1);
-    const int32_t sa = slo32(src0);
-    const int32_t sb = slo32(src1);
-    const double fa = asDouble(src0);
-    const double fb = asDouble(src1);
-
-    switch (inst.op) {
-      case Op::NOP:
-        break;
-      case Op::HALT:
-        break;
-
-      case Op::ADD: o.result = lo32(a + b); break;
-      case Op::SUB: o.result = lo32(a - b); break;
-      case Op::AND: o.result = a & b; break;
-      case Op::OR: o.result = a | b; break;
-      case Op::XOR: o.result = a ^ b; break;
-      case Op::NOR: o.result = lo32(~(a | b)); break;
-      case Op::SLT: o.result = sa < sb ? 1 : 0; break;
-      case Op::SLTU: o.result = a < b ? 1 : 0; break;
-      case Op::SLLV: o.result = lo32(a << (b & 31)); break;
-      case Op::SRLV: o.result = a >> (b & 31); break;
-      case Op::SRAV: o.result = lo32(static_cast<uint32_t>(
-                         sa >> (b & 31))); break;
-
-      case Op::ADDI:
-        o.result = lo32(a + static_cast<uint32_t>(inst.imm));
-        break;
-      case Op::ANDI:
-        o.result = a & static_cast<uint32_t>(inst.imm);
-        break;
-      case Op::ORI:
-        o.result = a | static_cast<uint32_t>(inst.imm);
-        break;
-      case Op::XORI:
-        o.result = a ^ static_cast<uint32_t>(inst.imm);
-        break;
-      case Op::SLTI: o.result = sa < inst.imm ? 1 : 0; break;
-      case Op::SLTIU:
-        o.result = a < static_cast<uint32_t>(inst.imm) ? 1 : 0;
-        break;
-      case Op::SLL: o.result = lo32(a << (inst.imm & 31)); break;
-      case Op::SRL: o.result = a >> (inst.imm & 31); break;
-      case Op::SRA:
-        o.result = lo32(static_cast<uint32_t>(sa >> (inst.imm & 31)));
-        break;
-      case Op::LUI:
-        o.result = lo32(static_cast<uint32_t>(inst.imm) << 16);
-        break;
-      case Op::LI:
-        o.result = static_cast<uint32_t>(inst.imm);
-        break;
-
-      case Op::MULT: {
-        int64_t p = static_cast<int64_t>(sa) * static_cast<int64_t>(sb);
-        o.result = lo32(static_cast<uint64_t>(p));          // LO
-        o.result2 = lo32(static_cast<uint64_t>(p) >> 32);   // HI
-        break;
-      }
-      case Op::MULTU: {
-        uint64_t p = static_cast<uint64_t>(a) * static_cast<uint64_t>(b);
-        o.result = lo32(p);
-        o.result2 = lo32(p >> 32);
-        break;
-      }
-      case Op::DIV:
-        if (sb == 0 || (sa == INT32_MIN && sb == -1)) {
-            o.result = 0;
-            o.result2 = lo32(static_cast<uint32_t>(sa));
-        } else {
-            o.result = lo32(static_cast<uint32_t>(sa / sb));  // LO
-            o.result2 = lo32(static_cast<uint32_t>(sa % sb)); // HI
-        }
-        break;
-      case Op::DIVU:
-        if (b == 0) {
-            o.result = 0;
-            o.result2 = a;
-        } else {
-            o.result = a / b;
-            o.result2 = a % b;
-        }
-        break;
-      case Op::MFHI:
-      case Op::MFLO:
-        o.result = a; // source (HI or LO) arrives as src0
-        break;
-
-      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU:
-      case Op::LW: case Op::L_D: {
-        o.memAddr = a + static_cast<uint32_t>(inst.imm);
-        unsigned sz = memSize(inst.op);
-        uint64_t raw = mem ? mem(o.memAddr, sz) : 0;
-        switch (inst.op) {
-          case Op::LB:
-            o.result = lo32(static_cast<uint32_t>(
-                signExtendByte(static_cast<uint8_t>(raw))));
-            break;
-          case Op::LBU: o.result = raw & 0xff; break;
-          case Op::LH:
-            o.result = lo32(static_cast<uint32_t>(
-                signExtendHalf(static_cast<uint16_t>(raw))));
-            break;
-          case Op::LHU: o.result = raw & 0xffff; break;
-          case Op::LW: o.result = lo32(raw); break;
-          case Op::L_D: o.result = raw; break;
-          default: break;
-        }
-        break;
-      }
-
-      case Op::SB: case Op::SH: case Op::SW: case Op::S_D:
-        o.memAddr = a + static_cast<uint32_t>(inst.imm);
-        o.storeValue = inst.op == Op::S_D ? src1
-                                          : static_cast<uint64_t>(b);
-        break;
-
-      case Op::BEQ: o.taken = a == b; break;
-      case Op::BNE: o.taken = a != b; break;
-      case Op::BLEZ: o.taken = sa <= 0; break;
-      case Op::BGTZ: o.taken = sa > 0; break;
-      case Op::BLTZ: o.taken = sa < 0; break;
-      case Op::BGEZ: o.taken = sa >= 0; break;
-      case Op::BC1T: o.taken = (src0 & 1) != 0; break;
-      case Op::BC1F: o.taken = (src0 & 1) == 0; break;
-
-      case Op::J:
-        o.taken = true;
-        break;
-      case Op::JAL:
-        o.taken = true;
-        o.result = pc + 4; // link
-        break;
-      case Op::JR:
-        o.taken = true;
-        o.nextPC = a;
-        break;
-      case Op::JALR:
-        o.taken = true;
-        o.nextPC = a;
-        o.result = pc + 4;
-        break;
-
-      case Op::ADD_D: o.result = asBits(fa + fb); break;
-      case Op::SUB_D: o.result = asBits(fa - fb); break;
-      case Op::MUL_D: o.result = asBits(fa * fb); break;
-      case Op::DIV_D:
-        o.result = asBits(fb != 0.0 ? fa / fb : 0.0);
-        break;
-      case Op::SQRT_D:
-        o.result = asBits(fa >= 0.0 ? std::sqrt(fa) : 0.0);
-        break;
-      case Op::MOV_D: o.result = src0; break;
-      case Op::NEG_D: o.result = asBits(-fa); break;
-      case Op::C_EQ_D: o.result = fa == fb ? 1 : 0; break;
-      case Op::C_LT_D: o.result = fa < fb ? 1 : 0; break;
-      case Op::C_LE_D: o.result = fa <= fb ? 1 : 0; break;
-      case Op::CVT_D_W: o.result = asBits(static_cast<double>(sa)); break;
-      case Op::CVT_W_D:
-        o.result = lo32(static_cast<uint32_t>(static_cast<int32_t>(fa)));
-        break;
-
-      default:
-        panic("evalInstr: unhandled opcode");
-    }
-
-    // Direction-style control flow resolves against the encoded target.
-    if (isCondBranch(inst.op)) {
-        o.nextPC = o.taken ? inst.target : pc + 4;
-    } else if (inst.op == Op::J || inst.op == Op::JAL) {
-        o.nextPC = inst.target;
-    }
-
-    return o;
+    auto read = [&mem](Addr a, unsigned sz) -> uint64_t {
+        return mem ? mem(a, sz) : 0;
+    };
+    return evalInstrWith(inst, pc, src0, src1, read);
 }
 
 Emulator::Emulator(const Program &program, EmuState &state)
@@ -244,26 +33,6 @@ Emulator::loadProgram(const Program &program, EmuState &state)
     state.initReg(REG_SP, program.stackTop);
 }
 
-ExecResult
-Emulator::step()
-{
-    ExecResult r;
-    r.pc = curPC;
-    r.preMark = st.mark();
-    const Instr *ip = prog.at(curPC);
-    if (ip)
-        r.inst = *ip;
-    else
-        r.inst.op = Op::HALT; // off the text segment: behaves as a halt
-    if (!ip || ip->op == Op::HALT) {
-        r.halted = true;
-        isHalted = true;
-        return r;
-    }
-    execute(*ip, r.out, r.srcVals);
-    return r;
-}
-
 bool
 Emulator::execAt(Addr pc, SemOut &out, uint64_t (&src_vals)[2])
 {
@@ -277,14 +46,8 @@ Emulator::execAt(Addr pc, SemOut &out, uint64_t (&src_vals)[2])
         isHalted = true;
         return false;
     }
-    execute(*ip, out, src_vals);
-    return true;
-}
 
-void
-Emulator::execute(const Instr &inst, SemOut &out, uint64_t (&src_vals)[2])
-{
-    const StaticInst &si = decoded[static_cast<size_t>(&inst -
+    const StaticInst &si = decoded[static_cast<size_t>(ip -
                                                        prog.text.data())];
     src_vals[0] = si.src.src[0] != REG_INVALID ? st.readReg(si.src.src[0])
                                                : 0;
@@ -295,7 +58,7 @@ Emulator::execute(const Instr &inst, SemOut &out, uint64_t (&src_vals)[2])
     auto read = [&mem_state](Addr a, unsigned sz) {
         return mem_state.readMem(a, sz);
     };
-    out = evalInstr(inst, curPC, src_vals[0], src_vals[1], read);
+    out = evalInstr(*ip, curPC, src_vals[0], src_vals[1], read);
 
     if (si.info->cls == InstClass::Store)
         st.writeMem(out.memAddr, si.info->memSz, out.storeValue);
@@ -306,25 +69,7 @@ Emulator::execute(const Instr &inst, SemOut &out, uint64_t (&src_vals)[2])
         st.writeReg(si.dst.dst[1], out.result2);
 
     curPC = out.nextPC;
-}
-
-EmuSnapshot
-makeWarmSnapshot(const Program &program, uint64_t warmupInsts)
-{
-    EmuSnapshot snap;
-    Emulator emu(program, snap.state);
-    Emulator::loadProgram(program, snap.state);
-    // Must mirror the cold warmup loop in Core/LockstepChecker
-    // instruction for instruction: a snapshot-started machine and a
-    // cold-started one have to be bit-identical.
-    for (uint64_t i = 0; i < warmupInsts && !emu.halted(); ++i) {
-        emu.step();
-        snap.state.retire(snap.state.mark());
-    }
-    snap.pc = emu.pc();
-    snap.halted = emu.halted();
-    snap.warmupInsts = warmupInsts;
-    return snap;
+    return true;
 }
 
 } // namespace vpir

@@ -1,12 +1,18 @@
 /**
  * @file
- * Instruction semantics and the functional stepper.
+ * Instruction semantics and the timing core's speculative executor.
  *
  * Semantics are factored into a pure evaluator (evalInstr) that maps
  * operand values to results, so the out-of-order core can re-evaluate
  * instructions with *speculative* operand values: this is how branches
  * executed with wrong value-predicted inputs compute genuinely wrong
- * outcomes (the paper's spurious mispredictions).
+ * outcomes (the paper's spurious mispredictions). Both executors use
+ * the one definition of the ISA's semantics in emu/semantics.hh.
+ *
+ * The Emulator executes along the core's fetched path, wrong paths
+ * included, with every write journaled so a squash can undo it.
+ * Non-speculative runs use the journal-free FuncEngine instead
+ * (emu/engine.hh).
  */
 
 #ifndef VPIR_EMU_EXECUTOR_HH
@@ -17,23 +23,13 @@
 #include <type_traits>
 
 #include "asm/assembler.hh"
+#include "emu/semantics.hh"
 #include "emu/state.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
 
 namespace vpir
 {
-
-/** Outcome of evaluating one instruction's semantics. */
-struct SemOut
-{
-    uint64_t result = 0;      //!< value for rd
-    uint64_t result2 = 0;     //!< value for rd2 (HI)
-    bool taken = false;       //!< control: branch/jump taken
-    Addr nextPC = 0;          //!< control: next PC
-    Addr memAddr = 0;         //!< memory: effective address
-    uint64_t storeValue = 0;  //!< memory: value stored
-};
 
 /**
  * Callback used by loads to read memory during evaluation: a
@@ -76,7 +72,8 @@ class MemReadFn
 };
 
 /**
- * Evaluate an instruction given its operand values.
+ * Evaluate an instruction given its operand values: evalInstrWith()
+ * (emu/semantics.hh) over a type-erased reader, compiled once.
  *
  * @param inst  The instruction.
  * @param pc    Its PC (for fall-through / link values).
@@ -87,28 +84,15 @@ class MemReadFn
 SemOut evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
                  MemReadFn mem);
 
-/** A fully executed dynamic instruction, as seen by the dispatcher. */
-struct ExecResult
-{
-    Addr pc = 0;
-    Instr inst;
-    SemOut out;
-    uint64_t srcVals[2] = {0, 0}; //!< architectural operand values used
-    JournalMark preMark = 0;      //!< journal position before the write
-    bool halted = false;
-};
-
 /**
- * Functional stepper: fetches from a Program, executes on an EmuState,
- * applies journaled writes, and advances PC.
+ * Speculative executor for the timing core's dispatch: fetches from a
+ * Program, executes on an EmuState, applies journaled writes, and
+ * advances PC.
  */
 class Emulator
 {
   public:
     Emulator(const Program &program, EmuState &state);
-
-    /** Execute the instruction at the current PC. */
-    ExecResult step();
 
     /**
      * Execute the instruction at @p pc (sets PC first), writing only
@@ -123,7 +107,6 @@ class Emulator
     Addr pc() const { return curPC; }
     void setPC(Addr pc) { curPC = pc; }
     bool halted() const { return isHalted; }
-    void clearHalt() { isHalted = false; }
 
     // Checkpoint transport. The halt latch is sticky — a wrong-path
     // HALT executed speculatively at dispatch sets it and nothing
@@ -146,10 +129,6 @@ class Emulator
     static void loadProgram(const Program &program, EmuState &state);
 
   private:
-    /** Execute @p inst (an element of prog.text, not HALT) at curPC;
-     *  advances curPC. */
-    void execute(const Instr &inst, SemOut &out, uint64_t (&src_vals)[2]);
-
     const Program &prog;
     /** predecode(prog.text): per-step source/destination registers and
      *  access size without re-deriving them; the core reads it through
@@ -159,27 +138,6 @@ class Emulator
     Addr curPC;
     bool isHalted = false;
 };
-
-/**
- * Frozen post-warmup machine state: the program image loaded and the
- * first warmupInsts instructions retired functionally. Built once per
- * (program, warmup) by the warm-start cache and cloned copy-on-write
- * (EmuState's copy is O(pages)) into every core and lockstep checker
- * that starts from the same point. Immutable after construction.
- */
-struct EmuSnapshot
-{
-    EmuState state;         //!< post-load, post-warmup architecture
-    Addr pc = 0;            //!< where the emulator stopped
-    bool halted = false;    //!< warmup consumed the whole program
-    uint64_t warmupInsts = 0; //!< requested warmup (key sanity check)
-};
-
-/**
- * Execute loadProgram + the functional warmup exactly as Core's and
- * LockstepChecker's cold constructors do, and freeze the result.
- */
-EmuSnapshot makeWarmSnapshot(const Program &program, uint64_t warmupInsts);
 
 } // namespace vpir
 

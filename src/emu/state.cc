@@ -24,14 +24,13 @@ EmuState::initReg(RegId r, uint64_t value)
 }
 
 EmuState::Page &
-EmuState::pageFor(Addr addr)
+EmuState::pageForSlow(uint32_t pn)
 {
-    uint32_t pn = addr >> pageBits;
-    if (!pageCache.slot || pageCache.pn != pn) {
-        pageCache.slot = &pages[pn];
-        pageCache.pn = pn;
+    if (writeCache.pn != pn) {
+        writeCache.slot = &pages[pn];
+        writeCache.pn = pn;
     }
-    PageSlot &p = *pageCache.slot;
+    PageSlot &p = *writeCache.slot;
     if (!p) {
         p = std::make_shared<Page>();
         p->fill(0);
@@ -41,6 +40,7 @@ EmuState::pageFor(Addr addr)
         // use_count read from a concurrent clone's release can only
         // cause a harmless extra copy, never a missed one: the count
         // cannot grow without this owner copying the state itself.
+        // The read cache names the same map slot, so it follows.
         p = std::make_shared<Page>(*p);
         ++cowFaults_;
     }
@@ -48,19 +48,21 @@ EmuState::pageFor(Addr addr)
 }
 
 const EmuState::Page *
-EmuState::pageForRead(Addr addr) const
+EmuState::pageForReadSlow(uint32_t pn) const
 {
-    uint32_t pn = addr >> pageBits;
-    if (pageCache.slot && pageCache.pn == pn)
-        return pageCache.slot->get();
+    if (writeCache.pn == pn) {
+        readCache.slot = writeCache.slot;
+        readCache.pn = pn;
+        return readCache.slot->get();
+    }
     auto it = pages.find(pn);
     if (it == pages.end())
         return nullptr; // absent pages are not cached: a write creates
-                        // them through pageFor(), which re-points it
-    // The map itself is not const (only this accessor is); the cached
-    // slot is written through only by pageFor().
-    pageCache.slot = const_cast<PageSlot *>(&it->second);
-    pageCache.pn = pn;
+                        // them through pageFor()
+    // The map itself is not const (only this accessor is); cached
+    // slots are written through only by pageFor().
+    readCache.slot = const_cast<PageSlot *>(&it->second);
+    readCache.pn = pn;
     return it->second.get();
 }
 
@@ -75,20 +77,8 @@ EmuState::sharedPages() const
 }
 
 uint64_t
-EmuState::readMemRaw(Addr addr, unsigned size) const
+EmuState::readMemSplit(Addr addr, unsigned size) const
 {
-    uint32_t off = addr & (pageSize - 1);
-    if (off + size <= pageSize) {
-        // Single-page access (the overwhelming case): one map lookup
-        // instead of one per byte.
-        const Page *p = pageForRead(addr);
-        if (!p)
-            return 0;
-        uint64_t v = 0;
-        for (unsigned b = 0; b < size; ++b)
-            v |= static_cast<uint64_t>((*p)[off + b]) << (8 * b);
-        return v;
-    }
     uint64_t v = 0;
     for (unsigned b = 0; b < size; ++b) {
         Addr a = addr + b;
@@ -100,26 +90,13 @@ EmuState::readMemRaw(Addr addr, unsigned size) const
 }
 
 void
-EmuState::writeMemRaw(Addr addr, unsigned size, uint64_t value)
+EmuState::writeMemSplit(Addr addr, unsigned size, uint64_t value)
 {
-    uint32_t off = addr & (pageSize - 1);
-    if (off + size <= pageSize) {
-        Page &p = pageFor(addr); // one lookup + at most one COW fault
-        for (unsigned b = 0; b < size; ++b)
-            p[off + b] = static_cast<uint8_t>(value >> (8 * b));
-        return;
-    }
     for (unsigned b = 0; b < size; ++b) {
         Addr a = addr + b;
         pageFor(a)[a & (pageSize - 1)] =
             static_cast<uint8_t>(value >> (8 * b));
     }
-}
-
-uint64_t
-EmuState::readMem(Addr addr, unsigned size) const
-{
-    return readMemRaw(addr, size);
 }
 
 void
@@ -215,10 +192,15 @@ EmuState::deserialize(CkptReader &r)
 {
     for (uint64_t &reg : regs)
         reg = r.u64();
+    if (regs[REG_ZERO] != 0) {
+        r.fail(); // r0 is hardwired to zero: torn data
+        return false;
+    }
     journalBase = r.u64();
     journal.clear();
     journalHead = 0;
-    pageCache.reset();
+    readCache.reset();
+    writeCache.reset();
     pages.clear();
     uint64_t count = r.u64();
     if (count > r.remaining() / pageSize) {

@@ -1,13 +1,18 @@
 /**
  * @file
- * Architectural state with an undo journal.
+ * Architectural state: registers and sparse paged memory, with an undo
+ * journal for the speculative writer.
  *
- * The simulator executes instructions functionally in dispatch order,
- * including down mispredicted paths (needed to model IR's recovery of
- * squashed work and VP's spurious branch redirects). Every register
- * and memory write is journaled; a squash rolls the journal back to
- * the offending branch's position, restoring the exact architectural
- * state the correct path must see.
+ * Two writers use this state. The timing core's Emulator executes
+ * instructions in dispatch order, including down mispredicted paths
+ * (needed to model IR's recovery of squashed work and VP's spurious
+ * branch redirects). Each of its register and memory writes is
+ * journaled; a squash rolls the journal back to the offending
+ * branch's position, restoring the exact architectural state the
+ * correct path must see. The non-speculative FuncEngine (emu/engine.hh)
+ * writes registers and pages directly: it never needs to undo a
+ * write, so it keeps no journal and leaves the journal marks where
+ * they are (DESIGN.md §15).
  *
  * Memory pages are held behind shared_ptr and cloned copy-on-write:
  * copying an EmuState is O(pages-resident) pointer copies, and the
@@ -19,13 +24,16 @@
  * writers clone before touching a page whose count exceeds one, and
  * a count of one means this state is the sole owner.
  *
- * Hot-path layout (DESIGN.md §14): the undo journal is a vector with
- * a consumed-prefix head that is compacted in bulk, and a one-entry
- * page cache remembers the map slot of the last page touched, so the
- * common run of accesses to one page skips the hash lookup. The cache
- * is per-object: copying, moving or deserializing a state resets it,
- * and it points at this state's own map slot (never at a page), so a
- * copy-on-write clone of the page behind it cannot leave it stale.
+ * Hot-path layout (DESIGN.md §14–15): the undo journal is a vector
+ * with a consumed-prefix head that is compacted in bulk. Two
+ * one-entry page caches, one for reads and one for writes, remember
+ * the map slot of the last page each touched, so runs of accesses to
+ * one page skip the hash lookup even when loads and stores alternate
+ * between two pages. The caches are per-object: copying, moving or
+ * deserializing a state resets them. They name this state's own map
+ * slots (never a page), so a copy-on-write clone of the page behind
+ * one cannot leave it stale, and the write path re-checks sole
+ * ownership on every write.
  */
 
 #ifndef VPIR_EMU_STATE_HH
@@ -48,7 +56,10 @@ namespace vpir
 /** Position in the undo journal (monotonically increasing). */
 using JournalMark = uint64_t;
 
-/** Registers + sparse paged memory + undo journal. */
+/** Registers + sparse paged memory + undo journal. Invariant: the r0
+ *  slot holds zero (writes to r0 are dropped, deserialize() rejects a
+ *  bundle that says otherwise), so FuncEngine may read it for an
+ *  absent operand. */
 class EmuState
 {
   public:
@@ -79,7 +90,10 @@ class EmuState
 
     // --- memory --------------------------------------------------------
     /** Read size bytes little-endian (size 1, 2, 4 or 8). */
-    uint64_t readMem(Addr addr, unsigned size) const;
+    uint64_t readMem(Addr addr, unsigned size) const
+    {
+        return readMemRaw(addr, size);
+    }
 
     /** Journaled memory write. */
     void writeMem(Addr addr, unsigned size, uint64_t value);
@@ -133,6 +147,9 @@ class EmuState
     bool deserialize(CkptReader &r);
 
   private:
+    /** The non-speculative writer: direct register and page access. */
+    friend class FuncEngine;
+
     struct UndoRec
     {
         bool isReg;
@@ -152,12 +169,15 @@ class EmuState
      *  outnumber the live ones. */
     static constexpr size_t JOURNAL_COMPACT = 1024;
 
-    /** The last page-map slot looked up. Copies and moves of the
-     *  owning state start empty (the slot belongs to the source's
-     *  map), and a move also empties the source. */
+    /** A page number no 32-bit address maps to: the empty cache. */
+    static constexpr uint32_t NO_PAGE = UINT32_MAX;
+
+    /** The last page-map slot looked up by one access kind. Copies
+     *  and moves of the owning state start empty (the slot belongs
+     *  to the source's map), and a move also empties the source. */
     struct PageCache
     {
-        uint32_t pn = 0;
+        uint32_t pn = NO_PAGE;
         PageSlot *slot = nullptr;
 
         PageCache() = default;
@@ -179,16 +199,100 @@ class EmuState
         void
         reset()
         {
-            pn = 0;
+            pn = NO_PAGE;
             slot = nullptr;
         }
     };
 
-    Page &pageFor(Addr addr);
-    const Page *pageForRead(Addr addr) const;
+    /** Page @p addr lies in, for writing: created if absent, cloned
+     *  first if shared. */
+    Page &
+    pageFor(Addr addr)
+    {
+        uint32_t pn = addr >> pageBits;
+        // use_count() == 1: present and owned by this state alone.
+        if (writeCache.pn == pn && writeCache.slot->use_count() == 1)
+            return **writeCache.slot;
+        return pageForSlow(pn);
+    }
 
-    uint64_t readMemRaw(Addr addr, unsigned size) const;
-    void writeMemRaw(Addr addr, unsigned size, uint64_t value);
+    /** Page @p addr lies in, or null when it was never written. */
+    const Page *
+    pageForRead(Addr addr) const
+    {
+        uint32_t pn = addr >> pageBits;
+        if (readCache.pn == pn)
+            return readCache.slot->get();
+        return pageForReadSlow(pn);
+    }
+
+    Page &pageForSlow(uint32_t pn);
+    const Page *pageForReadSlow(uint32_t pn) const;
+
+    /** Little-endian load of N bytes (a constant, so the byte loop
+     *  folds into one load). */
+    template <unsigned N>
+    static uint64_t
+    loadLE(const uint8_t *p)
+    {
+        uint64_t v = 0;
+        for (unsigned b = 0; b < N; ++b)
+            v |= static_cast<uint64_t>(p[b]) << (8 * b);
+        return v;
+    }
+
+    template <unsigned N>
+    static void
+    storeLE(uint8_t *p, uint64_t v)
+    {
+        for (unsigned b = 0; b < N; ++b)
+            p[b] = static_cast<uint8_t>(v >> (8 * b));
+    }
+
+    /** Unjournaled read; single-page accesses (the overwhelming case)
+     *  cost one cache check. */
+    uint64_t
+    readMemRaw(Addr addr, unsigned size) const
+    {
+        uint32_t off = addr & (pageSize - 1);
+        if (off + size > pageSize)
+            return readMemSplit(addr, size);
+        const Page *p = pageForRead(addr);
+        if (!p)
+            return 0;
+        const uint8_t *b = p->data() + off;
+        switch (size) {
+          case 1: return loadLE<1>(b);
+          case 2: return loadLE<2>(b);
+          case 4: return loadLE<4>(b);
+          case 8: return loadLE<8>(b);
+          default: return readMemSplit(addr, size);
+        }
+    }
+
+    /** Unjournaled write. */
+    void
+    writeMemRaw(Addr addr, unsigned size, uint64_t value)
+    {
+        uint32_t off = addr & (pageSize - 1);
+        if (off + size > pageSize) {
+            writeMemSplit(addr, size, value);
+            return;
+        }
+        uint8_t *b = pageFor(addr).data() + off;
+        switch (size) {
+          case 1: storeLE<1>(b, value); break;
+          case 2: storeLE<2>(b, value); break;
+          case 4: storeLE<4>(b, value); break;
+          case 8: storeLE<8>(b, value); break;
+          default: writeMemSplit(addr, size, value); break;
+        }
+    }
+
+    /** Byte-at-a-time paths: accesses straddling two pages, and sizes
+     *  other than 1, 2, 4 and 8. */
+    uint64_t readMemSplit(Addr addr, unsigned size) const;
+    void writeMemSplit(Addr addr, unsigned size, uint64_t value);
 
     std::array<uint64_t, NUM_ARCH_REGS> regs;
     /** shared_ptr, not unique_ptr: the default copy operations then
@@ -202,7 +306,8 @@ class EmuState
     JournalMark journalBase = 0;
     uint64_t cowFaults_ = 0;
     /** Read-side lookups go through a const path, hence mutable. */
-    mutable PageCache pageCache;
+    mutable PageCache readCache;
+    PageCache writeCache;
 };
 
 } // namespace vpir

@@ -6,7 +6,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/core.hh"
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "emu/state.hh"
 #include "sim/configs.hh"
 
@@ -221,15 +221,10 @@ runDifferential(const Program &program, const CoreParams &params)
         // functional reference and compare the architectural result.
         EmuState ref;
         Emulator::loadProgram(program, ref);
-        Emulator emu(program, ref);
-        uint64_t steps = 0;
+        FuncEngine engine(program, ref);
         const uint64_t cap = out.stats.committedInsts + 16;
-        while (!emu.halted() && steps < cap) {
-            emu.step();
-            ref.retire(ref.mark()); // keep the undo journal empty
-            ++steps;
-        }
-        if (!emu.halted()) {
+        const uint64_t steps = engine.run(cap);
+        if (!engine.halted()) {
             out.diverged = true;
             out.kind = "end-state";
             out.detail = "reference did not halt within " +

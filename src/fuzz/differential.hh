@@ -6,7 +6,7 @@
  * disagree with the functional reference — a checker divergence, an
  * audit panic, a watchdog fire, a stats conservation-law violation,
  * or an end-of-run architectural state mismatch against a fresh
- * Emulator execution.
+ * functional-engine execution.
  */
 
 #ifndef VPIR_FUZZ_DIFFERENTIAL_HH

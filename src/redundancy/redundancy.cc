@@ -3,7 +3,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "emu/state.hh"
 #include "isa/decode.hh"
 
@@ -49,30 +49,31 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
 {
     RedundancyStats out;
     EmuState state;
-    Emulator emu(program, state);
     Emulator::loadProgram(program, state);
+    FuncEngine engine(program, state);
 
     std::unordered_map<Addr, StaticHistory> hist;
     WriterInfo writers[NUM_ARCH_REGS] = {};
 
     uint64_t idx = 0;
-    while (!emu.halted() && idx < params.maxInsts) {
-        ExecResult er = emu.step();
-        if (er.halted)
+    SemOut sem;
+    uint64_t src_vals[2];
+    while (idx < params.maxInsts) {
+        const Addr pc = engine.pc();
+        if (!engine.step(sem, src_vals))
             break;
         ++idx;
         ++out.totalDynamic;
-        state.retire(state.mark()); // keep the journal bounded
 
-        const Instr &inst = er.inst;
+        const Instr &inst = *program.at(pc);
         bool produces = inst.rd != REG_INVALID &&
                         decodeInfo(inst.op).cls != InstClass::Nop;
 
         bool this_reused = false;
         if (produces) {
             ++out.resultProducing;
-            StaticHistory &h = hist[er.pc];
-            uint64_t result = er.out.result;
+            StaticHistory &h = hist[pc];
+            uint64_t result = sem.result;
 
             bool is_repeated = h.results.count(result) > 0;
             bool is_derivable = false;
@@ -84,7 +85,7 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
             // An instance is reused when it repeats a result that
             // was computed from the same operand values before
             // (paper §4.3: the operand-based reuse test succeeds).
-            uint64_t key = operandKey(er.srcVals[0], er.srcVals[1]);
+            uint64_t key = operandKey(src_vals[0], src_vals[1]);
             auto op_it = h.byOperands.find(key);
             bool operands_seen =
                 op_it != h.byOperands.end() && op_it->second == result;
@@ -135,8 +136,7 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
             if (h.results.size() < params.maxInstances)
                 h.results.insert(result);
             if (h.byOperands.size() < params.maxInstances) {
-                h.byOperands[operandKey(er.srcVals[0],
-                                        er.srcVals[1])] = result;
+                h.byOperands[key] = result;
             }
             h.prevResult = h.lastResult;
             h.lastResult = result;

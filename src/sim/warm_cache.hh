@@ -35,7 +35,7 @@
 #include <mutex>
 #include <string>
 
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "workload/workload.hh"
 
 namespace vpir

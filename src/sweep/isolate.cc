@@ -99,10 +99,15 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
     });
     CellDeadlineScope deadline(timeout_ms);
 
-    // Test/CI hook: stand in for a real simulator crash.
+    // Test/CI hook: stand in for a real simulator crash. The default
+    // action is restored first, so the process dies by the signal even
+    // when a sanitizer runtime has installed its own SEGV handler
+    // (which would report and exit with a status instead).
     if (const char *t = std::getenv("VPIR_TEST_CRASH_CELL");
-        t && cell.label == t)
+        t && cell.label == t) {
+        std::signal(SIGSEGV, SIG_DFL);
         raise(SIGSEGV);
+    }
 
     auto t0 = std::chrono::steady_clock::now();
     try {
@@ -124,7 +129,7 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
                     makeWorkload(cell.workload, cell.scale));
                 w = std::move(priv);
                 out.asmBuilt = true;
-                out.warmBuilt = true; // Core ctor replays the warmup
+                out.warmBuilt = true; // Core ctor builds its snapshot
             }
         }
         out.workloadInput = w->input;
@@ -145,6 +150,13 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
         CkptRunResult cr = runWithCheckpoints(
             sim, ckptConfigFromEnv(cell.params.ckptInsts), id,
             allow_resume);
+        // A machine that can never commit (say, a zero-entry ROB) runs
+        // to its cycle limit without error; its stats are no result.
+        if (!cr.stopped && sim.stats().committedInsts == 0 &&
+            !sim.stats().haltedCleanly) {
+            panic("cell committed no instruction and did not halt (" +
+                  std::to_string(sim.stats().cycles) + " cycles)");
+        }
         out.stats = sim.stats();
         out.profile = sim.core().schedProfile();
         out.ckptStopped = cr.stopped;

@@ -82,6 +82,19 @@ TEST(LockstepChecker, CleanWithWarmupFastForward)
     EXPECT_GT(st.checkedInsts, 0u);
 }
 
+TEST(LockstepChecker, CleanWhenWarmupConsumesTheProgram)
+{
+    // The core restarts fetch at the entry PC when the warmup ran the
+    // program to its HALT; the reference machine must restart with it.
+    PanicThrowScope throws_;
+    CoreParams p = baseConfig();
+    p.warmupInsts = 100000000;
+    CoreStats st;
+    ASSERT_NO_THROW(st = runChecked("compress", p));
+    EXPECT_EQ(st.checkedInsts, st.committedInsts);
+    EXPECT_GT(st.checkedInsts, 0u);
+}
+
 TEST(Watchdog, StuckPipelineRaisesRecoverableError)
 {
     PanicThrowScope throws_;

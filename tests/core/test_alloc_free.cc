@@ -11,6 +11,8 @@
  * working size), further cycles must not call the global allocator at
  * all, under every technique.
  *
+ * The functional engine's run loop is held to the same rule.
+ *
  * This file is its own test binary because it replaces the global
  * operator new/delete with counting versions.
  */
@@ -23,6 +25,7 @@
 #include <string>
 
 #include "core/core.hh"
+#include "emu/engine.hh"
 #include "fuzz/generator.hh"
 #include "sim/configs.hh"
 #include "workload/workload.hh"
@@ -228,6 +231,47 @@ TEST(AllocFree, SquashHeavyFuzzProgram)
     expectAllocationFree(fuzzProgram(),
                          squashHeavy(irConfig(IrValidation::Late)),
                          "fuzz ir-late");
+}
+
+/** The functional engine's run loop, on a freshly loaded state and on
+ *  a clone of a shared snapshot: once the pages it touches exist (and
+ *  the shared ones it writes are cloned), running on allocates
+ *  nothing. */
+TEST(AllocFree, FunctionalEngineRun)
+{
+    constexpr uint64_t WARM = 300000, MEASURED = 300000;
+    for (const char *name : {"gcc", "vortex", "ijpeg"}) {
+        const Workload wl = makeWorkload(name);
+        const EmuSnapshot snap = makeWarmSnapshot(wl.program, WARM);
+        for (bool from_snapshot : {false, true}) {
+            const std::string what =
+                std::string(name) + (from_snapshot ? " snapshot" : "");
+            EmuState st;
+            if (from_snapshot)
+                st = snap.state;
+            else
+                Emulator::loadProgram(wl.program, st);
+            FuncEngine eng(wl.program, st);
+            if (from_snapshot)
+                eng.setPC(snap.pc);
+            ASSERT_EQ(eng.run(WARM), WARM) << what;
+            const size_t pages = st.residentPages();
+            const uint64_t faults = st.cowFaults();
+
+            allocations = 0;
+            counting = true;
+            uint64_t ran = eng.run(MEASURED);
+            counting = false;
+
+            ASSERT_EQ(ran, MEASURED) << what << ": halted while measured";
+            ASSERT_EQ(st.residentPages(), pages)
+                << what << ": touched a new page while measured";
+            ASSERT_EQ(st.cowFaults(), faults)
+                << what << ": cloned a shared page while measured";
+            EXPECT_EQ(allocations.load(), 0u)
+                << what << ": heap allocations in the engine's run loop";
+        }
+    }
 }
 
 } // anonymous namespace

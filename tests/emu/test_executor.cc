@@ -1,11 +1,13 @@
-/** @file Unit tests for instruction semantics and the stepper. */
+/** @file Unit tests for instruction semantics and both executors. */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "asm/assembler.hh"
 #include "common/rng.hh"
+#include "emu/engine.hh"
 #include "emu/executor.hh"
 #include "workload/wregs.hh"
 
@@ -202,6 +204,41 @@ TEST(EvalInstr, FloatingPoint)
     EXPECT_EQ(static_cast<int32_t>(o.result), -7);
 }
 
+/** Binary FP operations return the first NaN operand, quieted, and
+ *  CVT_W_D maps NaN and out-of-range values to INT32_MIN, whichever
+ *  way a compiler arranges the arithmetic. */
+TEST(EvalInstr, FloatingPointNaNsAreDeterministic)
+{
+    const uint64_t qa = 0x7ff8000000000001ull; // quiet, positive
+    const uint64_t qb = 0xfff8000000000002ull; // quiet, negative
+    const uint64_t sa = 0x7ff0000000000003ull; // signaling
+    const uint64_t one = dbits(1.0);
+    Instr f;
+    f.rd = fpReg(0);
+    f.rs = fpReg(1);
+    f.rt = fpReg(2);
+    for (Op op : {Op::ADD_D, Op::SUB_D, Op::MUL_D, Op::DIV_D}) {
+        f.op = op;
+        auto eval = [&](uint64_t a, uint64_t b) {
+            return evalInstr(f, 0, a, b, nullptr).result;
+        };
+        EXPECT_EQ(eval(qa, qb), qa) << opName(op);
+        EXPECT_EQ(eval(qb, qa), qb) << opName(op);
+        EXPECT_EQ(eval(one, qb), qb) << opName(op);
+        EXPECT_EQ(eval(qa, one), qa) << opName(op);
+        EXPECT_EQ(eval(sa, qb), sa | (1ull << 51)) << opName(op);
+        EXPECT_EQ(eval(qb, sa), qb) << opName(op);
+    }
+    f.op = Op::CVT_W_D;
+    for (double d : {std::nan(""), 1e10, -1e10, 2147483648.0})
+        EXPECT_EQ(evalInstr(f, 0, dbits(d), 0, nullptr).result, 0x80000000u)
+            << d;
+    EXPECT_EQ(evalInstr(f, 0, dbits(2147483647.9), 0, nullptr).result,
+              0x7fffffffu);
+    EXPECT_EQ(evalInstr(f, 0, dbits(-2147483648.9), 0, nullptr).result,
+              0x80000000u);
+}
+
 TEST(EvalInstr, LoadsSignAndZeroExtend)
 {
     auto mem = [](Addr, unsigned) -> uint64_t { return 0x80; };
@@ -229,12 +266,10 @@ TEST(Emulator, RunsAssembledProgram)
     Program p = a.finish();
 
     EmuState st;
-    Emulator emu(p, st);
     Emulator::loadProgram(p, st);
-    int guard = 0;
-    while (!emu.halted() && guard++ < 100)
-        emu.step();
-    EXPECT_TRUE(emu.halted());
+    FuncEngine eng(p, st);
+    eng.run(100);
+    EXPECT_TRUE(eng.halted());
     EXPECT_EQ(st.readMem(a.dataAddr("out"), 4), 42u);
 }
 
@@ -251,14 +286,10 @@ TEST(Emulator, LoopExecutesExpectedCount)
     Program p = a.finish();
 
     EmuState st;
-    Emulator emu(p, st);
     Emulator::loadProgram(p, st);
-    uint64_t steps = 0;
-    while (!emu.halted()) {
-        emu.step();
-        ++steps;
-        ASSERT_LT(steps, 1000u);
-    }
+    FuncEngine eng(p, st);
+    uint64_t steps = eng.run(1000);
+    ASSERT_TRUE(eng.halted());
     EXPECT_EQ(st.readReg(T1), 30u);
     EXPECT_EQ(steps, 2u + 3u * 10u + 1u); // 2 li, 10x3 body, halt
 }
@@ -285,13 +316,15 @@ TEST(Emulator, SrcValsCaptureOperands)
     a.halt();
     Program p = a.finish();
     EmuState st;
-    Emulator emu(p, st);
-    emu.step();
-    emu.step();
-    ExecResult r = emu.step();
-    EXPECT_EQ(r.srcVals[0], 11u);
-    EXPECT_EQ(r.srcVals[1], 22u);
-    EXPECT_EQ(r.out.result, 33u);
+    FuncEngine eng(p, st);
+    SemOut out;
+    uint64_t src_vals[2];
+    ASSERT_TRUE(eng.step(out, src_vals));
+    ASSERT_TRUE(eng.step(out, src_vals));
+    ASSERT_TRUE(eng.step(out, src_vals));
+    EXPECT_EQ(src_vals[0], 11u);
+    EXPECT_EQ(src_vals[1], 22u);
+    EXPECT_EQ(out.result, 33u);
 }
 
 TEST(Emulator, StoreWritesThroughJournal)
@@ -305,9 +338,10 @@ TEST(Emulator, StoreWritesThroughJournal)
     EmuState st;
     Emulator emu(p, st);
     JournalMark m = st.mark();
-    emu.step();
-    emu.step();
-    emu.step();
+    SemOut out;
+    uint64_t src_vals[2];
+    for (Addr pc = p.entry; pc < p.entry + 12; pc += 4)
+        ASSERT_TRUE(emu.execAt(pc, out, src_vals));
     EXPECT_EQ(st.readMem(0x5002, 1), 0x99u);
     st.rollback(m);
     EXPECT_EQ(st.readMem(0x5002, 1), 0u);

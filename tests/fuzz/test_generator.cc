@@ -10,7 +10,7 @@
 #include <set>
 
 #include "common/rng.hh"
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/program_io.hh"
 #include "isa/instr.hh"
@@ -56,15 +56,10 @@ TEST(FuzzGenerator, ProgramsTerminate)
         Program p = generateProgram(seed);
         EmuState st;
         Emulator::loadProgram(p, st);
-        Emulator emu(p, st);
-        uint64_t steps = 0;
+        FuncEngine eng(p, st);
         const uint64_t cap = 2000000;
-        while (!emu.halted() && steps < cap) {
-            emu.step();
-            st.retire(st.mark());
-            ++steps;
-        }
-        EXPECT_TRUE(emu.halted())
+        eng.run(cap);
+        EXPECT_TRUE(eng.halted())
             << "seed " << seed << " still running after " << cap
             << " steps";
     }
@@ -79,14 +74,7 @@ TEST(FuzzGenerator, ScaledItersShortenRuns)
     auto run = [](const Program &p) {
         EmuState st;
         Emulator::loadProgram(p, st);
-        Emulator emu(p, st);
-        uint64_t steps = 0;
-        while (!emu.halted() && steps < 5000000) {
-            emu.step();
-            st.retire(st.mark());
-            ++steps;
-        }
-        return steps;
+        return FuncEngine(p, st).run(5000000);
     };
     EXPECT_LT(run(generateProgram(11, small)),
               run(generateProgram(11, big)));

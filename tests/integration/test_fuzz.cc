@@ -13,7 +13,7 @@
 #include "asm/assembler.hh"
 #include "common/rng.hh"
 #include "core/core.hh"
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "sim/configs.hh"
 #include "workload/wregs.hh"
 
@@ -207,15 +207,10 @@ TEST_P(FuzzSuite, AllTechniquesMatchFunctionalExecution)
 
     // Functional reference.
     EmuState ref_state;
-    Emulator emu(p, ref_state);
     Emulator::loadProgram(p, ref_state);
-    uint64_t ref_n = 0;
-    while (!emu.halted() && ref_n < 2000000) {
-        emu.step();
-        ref_state.retire(ref_state.mark());
-        ++ref_n;
-    }
-    ASSERT_TRUE(emu.halted());
+    FuncEngine eng(p, ref_state);
+    const uint64_t ref_n = eng.run(2000000);
+    ASSERT_TRUE(eng.halted());
     uint64_t ref_sum = checksum(ref_state, p);
 
     CoreParams cfgs[] = {

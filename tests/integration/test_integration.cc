@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "emu/executor.hh"
+#include "emu/engine.hh"
 #include "redundancy/redundancy.hh"
 #include "sim/simulator.hh"
 
@@ -60,16 +60,11 @@ RunResult
 runFunctional(const Program &p)
 {
     EmuState st;
-    Emulator emu(p, st);
     Emulator::loadProgram(p, st);
-    uint64_t n = 0;
-    while (!emu.halted() && n < 50000000) {
-        emu.step();
-        st.retire(st.mark());
-        ++n;
-    }
-    // n already counts the final HALT step.
-    return RunResult{stateChecksum(st, p), n, emu.halted()};
+    FuncEngine eng(p, st);
+    // n counts the final HALT step.
+    uint64_t n = eng.run(50000000);
+    return RunResult{stateChecksum(st, p), n, eng.halted()};
 }
 
 std::vector<CoreParams>

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -279,6 +280,39 @@ TEST(SweepEngine, PoisonedCellIsIsolatedFromHealthyNeighbors)
 
     // Timing records only cover completed cells.
     EXPECT_EQ(eng.timings().size(), healthy.size());
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngine, CellThatCommitsNothingFailsAndIsNotCached)
+{
+    // A zero-entry ROB can never commit: the core idles to its cycle
+    // limit without error. That is no result, so the sweep must report
+    // a failure and keep it out of the disk cache.
+    std::string dir = scratchDir("nocommit");
+    CoreParams p = baseConfig();
+    setenv("VPIR_ROB_ENTRIES", "0", 1);
+    applyHardeningEnv(p);
+    unsetenv("VPIR_ROB_ENTRIES");
+    ASSERT_EQ(p.robEntries, 0u);
+    SweepCell stuck = cell("go", "rob0", p);
+
+    SweepEngine eng(1, dir);
+    EXPECT_EQ(eng.get(stuck).committedInsts, 0u);
+    std::vector<CellFailure> fails = eng.failures();
+    ASSERT_EQ(fails.size(), 1u);
+    EXPECT_EQ(fails[0].label, "rob0");
+    EXPECT_NE(fails[0].error.find("committed no instruction"),
+              std::string::npos)
+        << fails[0].error;
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+    // A rerun on the same cache recomputes (and fails) instead of
+    // serving a cached "success".
+    SweepEngine rerun(1, dir);
+    rerun.get(stuck);
+    EXPECT_EQ(rerun.cellsFromDiskCache(), 0u);
+    EXPECT_EQ(rerun.failures().size(), 1u);
 
     std::filesystem::remove_all(dir);
 }

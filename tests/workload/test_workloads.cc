@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "emu/executor.hh"
+#include "emu/engine.hh"
+#include "isa/decode.hh"
 #include "workload/workload.hh"
 
 using namespace vpir;
@@ -15,15 +16,8 @@ uint64_t
 runFunctional(const Program &p, uint64_t cap)
 {
     EmuState st;
-    Emulator emu(p, st);
     Emulator::loadProgram(p, st);
-    uint64_t n = 0;
-    while (!emu.halted() && n < cap) {
-        emu.step();
-        st.retire(st.mark());
-        ++n;
-    }
-    return n;
+    return FuncEngine(p, st).run(cap);
 }
 
 } // anonymous namespace
@@ -61,15 +55,10 @@ TEST_P(WorkloadSuite, HaltsAtSmallScale)
     sc.factor = 0.01;
     Workload w = makeWorkload(GetParam(), sc);
     EmuState st;
-    Emulator emu(w.program, st);
     Emulator::loadProgram(w.program, st);
-    uint64_t n = 0;
-    while (!emu.halted()) {
-        emu.step();
-        st.retire(st.mark());
-        ++n;
-        ASSERT_LT(n, 5000000u) << "did not halt";
-    }
+    FuncEngine eng(w.program, st);
+    uint64_t n = eng.run(5000000);
+    ASSERT_TRUE(eng.halted()) << "did not halt";
     EXPECT_GT(n, 1000u);
 }
 
@@ -116,18 +105,20 @@ TEST_P(WorkloadSuite, UsesMemoryAndBranches)
     sc.factor = 0.02;
     Workload w = makeWorkload(GetParam(), sc);
     EmuState st;
-    Emulator emu(w.program, st);
     Emulator::loadProgram(w.program, st);
+    FuncEngine eng(w.program, st);
+    SemOut out;
+    uint64_t src_vals[2];
     uint64_t loads = 0, stores = 0, branches = 0, total = 0;
-    while (!emu.halted() && total < 200000) {
-        ExecResult r = emu.step();
-        st.retire(st.mark());
+    while (!eng.halted() && total < 200000) {
+        const Op op = w.program.at(eng.pc())->op;
+        eng.step(out, src_vals);
         ++total;
-        if (isLoad(r.inst.op))
+        if (isLoad(op))
             ++loads;
-        if (isStore(r.inst.op))
+        if (isStore(op))
             ++stores;
-        if (isCondBranch(r.inst.op))
+        if (isCondBranch(op))
             ++branches;
     }
     // Every benchmark should have a realistic mix. (m88ksim's
