@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <new>
 #include <sstream>
 #include <type_traits>
@@ -14,17 +12,25 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "isa/disasm.hh"
-// Header-only stat-field visitor (no vpir_sweep link dependency);
-// checkpoints serialize CoreStats through the same single field list
-// the result cache uses, so the two cannot drift apart.
-#include "sweep/stats_json.hh"
 
 namespace vpir
 {
 
+namespace
+{
+
+const CoreParams &
+validated(const CoreParams &p)
+{
+    p.validate();
+    return p;
+}
+
+} // anonymous namespace
+
 Core::Core(const CoreParams &p, const Program &program,
            const EmuSnapshot *warm)
-    : params(p),
+    : params(validated(p)),
       prog(program),
       emu(program, state),
       icache(p.icache),
@@ -1538,44 +1544,6 @@ Core::insertIntoRb(int slot)
 
 // -------------------------------------------------------------- commit
 
-namespace
-{
-
-/** VPIR_BPRED_DEBUG=1: per-PC conditional mispredict histogram.
- *  Shared across cores; the sweep engine runs simulations on several
- *  threads, so updates take the mutex (only when the knob is set). */
-std::map<Addr, std::pair<uint64_t, uint64_t>> bpredDebugMap;
-std::mutex bpredDebugMu;
-
-bool
-bpredDebugEnabled()
-{
-    static const bool on = std::getenv("VPIR_BPRED_DEBUG") != nullptr;
-    return on;
-}
-
-} // anonymous namespace
-
-void
-dumpBpredDebug()
-{
-    std::lock_guard<std::mutex> lk(bpredDebugMu);
-    std::vector<std::pair<Addr, std::pair<uint64_t, uint64_t>>> v(
-        bpredDebugMap.begin(), bpredDebugMap.end());
-    std::sort(v.begin(), v.end(), [](const auto &a, const auto &b) {
-        return a.second.second > b.second.second;
-    });
-    for (size_t i = 0; i < v.size() && i < 12; ++i) {
-        std::fprintf(stderr, "  pc=0x%x execs=%llu miss=%llu (%.1f%%)\n",
-                     v[i].first,
-                     static_cast<unsigned long long>(v[i].second.first),
-                     static_cast<unsigned long long>(v[i].second.second),
-                     100.0 * static_cast<double>(v[i].second.second) /
-                         static_cast<double>(v[i].second.first));
-    }
-    bpredDebugMap.clear();
-}
-
 void
 Core::trainPredictors(const RobEntry &e)
 {
@@ -1586,13 +1554,6 @@ Core::trainPredictors(const RobEntry &e)
             ++st.condBranches;
             if (e.predTaken != e.exec.out.taken)
                 ++st.condMispredicted;
-            if (bpredDebugEnabled()) {
-                std::lock_guard<std::mutex> lk(bpredDebugMu);
-                auto &d = bpredDebugMap[e.pc];
-                ++d.first;
-                if (e.predTaken != e.exec.out.taken)
-                    ++d.second;
-            }
         }
         if (isReturn(e.inst)) {
             ++st.returns;
@@ -2384,9 +2345,12 @@ Core::saveCheckpoint(CkptWriter &w) const
     w.u64(auditSquashed);
     w.u64(nextCkptAt);
     w.u32(static_cast<uint32_t>(robHead));
-    sweep::forEachStatField(st,
-        [&w](const char *, const uint64_t &v) { w.u64(v); });
-    w.b(st.haltedCleanly);
+    forEachStatRow(st, [&w](const char *, const char *, const auto &v) {
+        if constexpr (isStatFlag<decltype(v)>)
+            w.b(v);
+        else
+            w.u64(v);
+    });
     w.u32(emu.pc());
     w.b(emu.halted());
     state.serialize(w);
@@ -2421,9 +2385,12 @@ Core::restoreCheckpoint(CkptReader &r)
         r.fail();
         return false;
     }
-    sweep::forEachStatField(st,
-        [&r](const char *, uint64_t &v) { v = r.u64(); });
-    st.haltedCleanly = r.b();
+    forEachStatRow(st, [&r](const char *, const char *, auto &v) {
+        if constexpr (isStatFlag<decltype(v)>)
+            v = r.b();
+        else
+            v = r.u64();
+    });
     emu.setPC(r.u32());
     // The halt latch is legitimate mid-run state: a wrong-path HALT
     // executed speculatively at dispatch sets it and nothing clears

@@ -192,9 +192,6 @@ struct FetchedInst
     bool fromRas = false;
 };
 
-/** Dump and reset the VPIR_BPRED_DEBUG per-PC histogram. */
-void dumpBpredDebug();
-
 /** The out-of-order core. */
 class Core
 {

@@ -9,6 +9,7 @@
 #define VPIR_CORE_CORE_STATS_HH
 
 #include <cstdint>
+#include <type_traits>
 
 #include "stats/stats.hh"
 
@@ -103,9 +104,84 @@ struct CoreStats
                       : 0.0;
     }
 
-    /** Export every counter into a named StatSet. */
+    /** Export every field, plus the ipc, branch_res_lat_avg and
+     *  resource_contention ratios, into a named StatSet. */
     void exportTo(StatSet &out) const;
 };
+
+/**
+ * The CoreStats field table: every field once, in serialization
+ * order, as fn(jsonName, statName, field). The JSON name is the
+ * member's name and keys the result-cache JSON, checkpoints and the
+ * schema fingerprint; the snake_case StatSet name keys exportTo().
+ * Counters are visited as uint64_t, haltedCleanly (last) as bool; see
+ * isStatFlag. To add a counter, add the member and one row here: its
+ * JSON, checkpoint, fingerprint and StatSet forms all follow.
+ */
+template <typename Stats, typename Fn>
+void
+forEachStatRow(Stats &st, Fn &&fn)
+{
+#define VPIR_STAT(member, stat_name) fn(#member, stat_name, st.member)
+    VPIR_STAT(cycles, "cycles");
+    VPIR_STAT(committedInsts, "committed_insts");
+    VPIR_STAT(committedMemOps, "committed_mem_ops");
+    VPIR_STAT(committedLoads, "committed_loads");
+    VPIR_STAT(committedStores, "committed_stores");
+    VPIR_STAT(executedInsts, "executed_insts");
+    VPIR_STAT(squashedExecuted, "squashed_executed");
+    VPIR_STAT(squashedRecovered, "squashed_recovered");
+    VPIR_STAT(branchSquashes, "branch_squashes");
+    VPIR_STAT(spuriousSquashes, "spurious_squashes");
+    VPIR_STAT(condBranches, "cond_branches");
+    VPIR_STAT(condMispredicted, "cond_mispredicted");
+    VPIR_STAT(returns, "returns");
+    VPIR_STAT(returnMispredicted, "return_mispredicted");
+    VPIR_STAT(branchResLatSum, "branch_res_lat_sum");
+    VPIR_STAT(branchResCount, "branch_res_count");
+    VPIR_STAT(resourceRequests, "resource_requests");
+    VPIR_STAT(resourceDenied, "resource_denied");
+    fn("execCountHist0", "exec_count_1", st.execCountHist[0]);
+    fn("execCountHist1", "exec_count_2", st.execCountHist[1]);
+    fn("execCountHist2", "exec_count_3", st.execCountHist[2]);
+    fn("execCountHist3", "exec_count_4", st.execCountHist[3]);
+    VPIR_STAT(reusedResults, "reused_results");
+    VPIR_STAT(reusedAddrs, "reused_addrs");
+    VPIR_STAT(reusedControl, "reused_control");
+    VPIR_STAT(resolvableControl, "resolvable_control");
+    VPIR_STAT(vpResultPredicted, "vp_result_predicted");
+    VPIR_STAT(vpResultCorrect, "vp_result_correct");
+    VPIR_STAT(vpResultWrong, "vp_result_wrong");
+    VPIR_STAT(vpAddrPredicted, "vp_addr_predicted");
+    VPIR_STAT(vpAddrCorrect, "vp_addr_correct");
+    VPIR_STAT(vpAddrWrong, "vp_addr_wrong");
+    VPIR_STAT(valueMispredictEvents, "value_mispredict_events");
+    VPIR_STAT(icacheAccesses, "icache_accesses");
+    VPIR_STAT(icacheMisses, "icache_misses");
+    VPIR_STAT(dcacheAccesses, "dcache_accesses");
+    VPIR_STAT(dcacheMisses, "dcache_misses");
+    VPIR_STAT(checkedInsts, "checked_insts");
+    VPIR_STAT(faultsVptValue, "faults_vpt_value");
+    VPIR_STAT(faultsVptConf, "faults_vpt_conf");
+    VPIR_STAT(faultsRbOperand, "faults_rb_operand");
+    VPIR_STAT(faultsRbResult, "faults_rb_result");
+    VPIR_STAT(faultsRbLink, "faults_rb_link");
+    VPIR_STAT(faultsRbDropInv, "faults_rb_dropinv");
+    VPIR_STAT(haltedCleanly, "halted_cleanly");
+#undef VPIR_STAT
+}
+
+/** True for the table's one bool row (haltedCleanly). */
+template <typename Field>
+constexpr bool isStatFlag = std::is_same_v<std::remove_cvref_t<Field>, bool>;
+
+/**
+ * Schema fingerprint of the stats table (fnv::schemaFingerprint over
+ * the JSON names). Result-cache files, repro bundles and checkpoints
+ * all carry it, and each refuses a payload whose fingerprint differs
+ * instead of misparsing it field by field.
+ */
+uint64_t statsSchemaFingerprint();
 
 } // namespace vpir
 

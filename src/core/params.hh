@@ -11,6 +11,9 @@
 #define VPIR_CORE_PARAMS_HH
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "bpred/bpred.hh"
 #include "check/fault.hh"
@@ -126,7 +129,129 @@ struct CoreParams
 
     /** Deterministic fault injection into VPT / reuse buffer. */
     FaultPlan faults;
+
+    /**
+     * Panic, naming the field and the rule it breaks, unless every
+     * forEachParamField() row lies within its [lo, hi] and each cache
+     * size is a whole number of sets. Geometry rules a component
+     * already enforces itself (bpred, cache and table set counts) stay
+     * with that component.
+     */
+    void validate() const;
 };
+
+/** One row of the CoreParams field table, as forEachParamField()
+ *  hands it to its visitor. Values travel as uint64_t: integers and
+ *  enums as themselves, bools as 0/1, doubles as their bit pattern. */
+struct ParamRow
+{
+    const char *name; //!< dotted path, e.g. "icache.sizeBytes"
+    uint64_t lo;      //!< smallest value of a valid machine
+    uint64_t hi;      //!< largest value of a valid machine
+    uint64_t cap;     //!< largest value the field's type holds
+};
+
+/**
+ * The CoreParams field table: every field once, in the order the
+ * cell hash (sweep::hashParams), the params JSON and its schema
+ * fingerprint fold over it, with the range validate() enforces. To
+ * add a field, add the member and one row here (the sizeof guard
+ * below trips when the struct grows, as a reminder). A new row moves
+ * every cell key and the JSON schema fingerprint, so result-cache
+ * files and repro bundles from older binaries are refused, not
+ * misread.
+ *
+ * The visitor is fn(const ParamRow &, uint64_t &value); on a mutable
+ * CoreParams the value is written back after each call.
+ */
+template <typename Params, typename Fn>
+void
+forEachParamField(Params &p, Fn &&fn)
+{
+    static_assert(sizeof(CoreParams) == 240,
+                  "CoreParams changed: add its row to forEachParamField()");
+
+    auto row = [&fn](const char *name, auto &field, uint64_t lo,
+                     uint64_t hi) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        uint64_t u;
+        uint64_t cap;
+        if constexpr (std::is_same_v<T, double>) {
+            std::memcpy(&u, &field, sizeof(u));
+            cap = UINT64_MAX;
+        } else if constexpr (std::is_enum_v<T>) {
+            u = static_cast<uint64_t>(field);
+            cap = hi; // the domain ends at the last enumerator
+        } else {
+            u = field;
+            cap = std::numeric_limits<T>::max();
+        }
+        fn(ParamRow{name, lo, hi, cap}, u);
+        if constexpr (!std::is_const_v<Params>) {
+            if constexpr (std::is_same_v<T, double>)
+                std::memcpy(&field, &u, sizeof(u));
+            else
+                field = static_cast<T>(u);
+        }
+    };
+    constexpr uint64_t ANY = UINT64_MAX;
+    auto last = [](auto enumerator) {
+        return static_cast<uint64_t>(enumerator);
+    };
+#define VPIR_PARAM(field, lo, hi) row(#field, p.field, lo, hi)
+    VPIR_PARAM(fetchWidth, 1, ANY);
+    VPIR_PARAM(fetchQueueSize, 1, ANY);
+    VPIR_PARAM(dispatchWidth, 1, ANY);
+    VPIR_PARAM(issueWidth, 1, ANY);
+    VPIR_PARAM(commitWidth, 1, ANY);
+    VPIR_PARAM(robEntries, 1, ANY);
+    VPIR_PARAM(lsqEntries, 1, ANY);
+    VPIR_PARAM(maxUnresolvedBranches, 1, ANY);
+    VPIR_PARAM(dcachePorts, 1, ANY);
+    VPIR_PARAM(icache.sizeBytes, 0, ANY);
+    VPIR_PARAM(icache.ways, 0, ANY);
+    VPIR_PARAM(icache.lineBytes, 0, ANY);
+    VPIR_PARAM(icache.hitLatency, 0, ANY);
+    VPIR_PARAM(icache.missLatency, 0, ANY);
+    VPIR_PARAM(dcache.sizeBytes, 0, ANY);
+    VPIR_PARAM(dcache.ways, 0, ANY);
+    VPIR_PARAM(dcache.lineBytes, 0, ANY);
+    VPIR_PARAM(dcache.hitLatency, 0, ANY);
+    VPIR_PARAM(dcache.missLatency, 0, ANY);
+    VPIR_PARAM(bpred.historyBits, 0, ANY);
+    VPIR_PARAM(bpred.tableEntries, 0, ANY);
+    VPIR_PARAM(bpred.btbEntries, 0, ANY);
+    VPIR_PARAM(bpred.rasEntries, 0, ANY);
+    VPIR_PARAM(technique, 0, last(Technique::Hybrid));
+    VPIR_PARAM(vpt.entries, 0, ANY);
+    VPIR_PARAM(vpt.ways, 0, ANY);
+    VPIR_PARAM(vpt.scheme, 0, last(VpScheme::Lvp));
+    VPIR_PARAM(vpt.confidenceThreshold, 0, Vpt::Confidence::max());
+    VPIR_PARAM(rb.entries, 0, ANY);
+    VPIR_PARAM(rb.ways, 0, ANY);
+    VPIR_PARAM(branchRes, 0, last(BranchResolution::NonSpeculative));
+    VPIR_PARAM(reexec, 0, last(ReexecPolicy::Single));
+    VPIR_PARAM(vpVerifyLatency, 0, ANY);
+    VPIR_PARAM(irValidation, 0, last(IrValidation::Late));
+    VPIR_PARAM(vpPredictResults, 0, 1);
+    VPIR_PARAM(vpPredictAddresses, 0, 1);
+    VPIR_PARAM(maxCycles, 0, ANY);
+    VPIR_PARAM(maxInsts, 0, ANY);
+    VPIR_PARAM(warmupInsts, 0, ANY);
+    VPIR_PARAM(checkRetire, 0, 1);
+    VPIR_PARAM(irOracleCheck, 0, 1);
+    VPIR_PARAM(auditInvariants, 0, 1);
+    VPIR_PARAM(watchdogCycles, 0, ANY);
+    VPIR_PARAM(ckptInsts, 0, ANY);
+    VPIR_PARAM(faults.seed, 0, ANY);
+    VPIR_PARAM(faults.vptValueRate, 0, ANY);
+    VPIR_PARAM(faults.vptConfRate, 0, ANY);
+    VPIR_PARAM(faults.rbOperandRate, 0, ANY);
+    VPIR_PARAM(faults.rbResultRate, 0, ANY);
+    VPIR_PARAM(faults.rbLinkRate, 0, ANY);
+    VPIR_PARAM(faults.rbDropInvRate, 0, ANY);
+#undef VPIR_PARAM
+}
 
 } // namespace vpir
 

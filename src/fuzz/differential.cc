@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/fnv_json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/core.hh"
@@ -48,20 +49,14 @@ classifyPanic(const std::string &msg)
 uint64_t
 archChecksum(const EmuState &st, const Program &program)
 {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
+    uint64_t h = fnv::OFFSET;
     for (unsigned r = 1; r < NUM_ARCH_REGS; ++r)
-        mix(st.readReg(static_cast<RegId>(r)));
+        fnv::mixU64(h, st.readReg(static_cast<RegId>(r)));
     for (const auto &seg : program.dataInit) {
         Addr base = seg.first & ~3u;
         Addr end = seg.first + static_cast<Addr>(seg.second.size());
         for (Addr a = base; a < end; a += 4)
-            mix(st.readMem(a, 4));
+            fnv::mixU64(h, st.readMem(a, 4));
     }
     return h;
 }

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "common/fnv_json.hh"
 #include "fuzz/program_io.hh"
 #include "sweep/params_json.hh"
 #include "sweep/stats_json.hh"
@@ -129,31 +130,6 @@ extractString(const std::string &s, const char *key, std::string &out)
     return pos < s.size();
 }
 
-bool
-extractU64(const std::string &s, const char *key, uint64_t &out)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    size_t pos = s.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < s.size() &&
-           (s[pos] == ':' ||
-            std::isspace(static_cast<unsigned char>(s[pos]))))
-        ++pos;
-    if (pos >= s.size() ||
-        !std::isdigit(static_cast<unsigned char>(s[pos])))
-        return false;
-    uint64_t v = 0;
-    while (pos < s.size() &&
-           std::isdigit(static_cast<unsigned char>(s[pos]))) {
-        v = v * 10 + static_cast<uint64_t>(s[pos] - '0');
-        ++pos;
-    }
-    out = v;
-    return true;
-}
-
 /** Extract the balanced {...} object value of @p key. */
 bool
 extractObject(const std::string &s, const char *key, std::string &out)
@@ -235,7 +211,7 @@ bundleToJson(const ReproBundle &b)
     out << "{\n"
         << "  \"format\": \"" << FORMAT << "\",\n"
         << "  \"stats_schema\": \""
-        << hex16(sweep::statsSchemaFingerprint()) << "\",\n"
+        << hex16(statsSchemaFingerprint()) << "\",\n"
         << "  \"params_schema\": \""
         << hex16(sweep::paramsSchemaFingerprint()) << "\",\n"
         << "  \"generator_revision\": " << b.generatorRevision << ",\n"
@@ -266,10 +242,10 @@ bundleFromJson(const std::string &json, ReproBundle &out,
         err = "bundle is missing its schema fingerprints";
         return false;
     }
-    if (sfp != hex16(sweep::statsSchemaFingerprint())) {
+    if (sfp != hex16(statsSchemaFingerprint())) {
         err = "stats-schema fingerprint mismatch: bundle " + sfp +
               ", this binary " +
-              hex16(sweep::statsSchemaFingerprint()) +
+              hex16(statsSchemaFingerprint()) +
               " — the bundle was produced by an incompatible build; "
               "refusing to replay";
         return false;
@@ -284,8 +260,8 @@ bundleFromJson(const std::string &json, ReproBundle &out,
     }
 
     ReproBundle b;
-    extractU64(json, "generator_revision", b.generatorRevision);
-    extractU64(json, "seed", b.seed);
+    jsonFieldU64(json, "generator_revision", b.generatorRevision);
+    jsonFieldU64(json, "seed", b.seed);
     extractString(json, "workload", b.workload);
     if (!extractString(json, "kind", b.kind)) {
         err = "bundle has no expected divergence kind";

@@ -14,11 +14,8 @@
 #include "check/fault.hh"
 #include "common/ckpt_io.hh"
 #include "common/env.hh"
+#include "common/fnv_json.hh"
 #include "common/logging.hh"
-// Header-only stat-field visitor: the checkpoint's own stats schema
-// fingerprint is derived from the same field list the result cache
-// uses, without linking vpir_sweep into vpir_sim.
-#include "sweep/stats_json.hh"
 
 namespace vpir
 {
@@ -30,43 +27,6 @@ namespace
 
 constexpr char CKPT_MAGIC[8] = {'V', 'P', 'I', 'R', 'C', 'K', 'P', 'T'};
 constexpr uint32_t CKPT_VERSION = 1;
-
-constexpr uint64_t FNV_OFFSET = 0xcbf29ce484222325ull;
-constexpr uint64_t FNV_PRIME = 0x100000001b3ull;
-
-void
-fnvMix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= FNV_PRIME;
-    }
-}
-
-/** FNV-1a over the CoreStats field names (same construction as
- *  sweep::statsSchemaFingerprint): a checkpoint written by a binary
- *  with a different stat layout must be rejected, not misparsed. */
-uint64_t
-ckptStatsSchemaFp()
-{
-    static const uint64_t fp = [] {
-        uint64_t h = FNV_OFFSET;
-        auto mixName = [&h](const char *name) {
-            for (const char *p = name; *p; ++p) {
-                h ^= static_cast<unsigned char>(*p);
-                h *= FNV_PRIME;
-            }
-            h ^= '\n';
-            h *= FNV_PRIME;
-        };
-        CoreStats tmp;
-        sweep::forEachStatField(
-            tmp, [&](const char *name, uint64_t &) { mixName(name); });
-        mixName("haltedCleanly");
-        return h;
-    }();
-    return fp;
-}
 
 std::string
 hex16(uint64_t v)
@@ -182,7 +142,7 @@ buildBundle(const CkptCellId &id, uint64_t prog_fp, const Core &core)
     CkptWriter w;
     w.bytes(CKPT_MAGIC, sizeof(CKPT_MAGIC));
     w.u32(CKPT_VERSION);
-    w.u64(ckptStatsSchemaFp());
+    w.u64(statsSchemaFingerprint());
     w.u64(id.paramsHash);
     w.u64(prog_fp);
     w.u64(id.cellKey);
@@ -295,7 +255,7 @@ tryRestore(Core &core, const fs::path &path, const CkptCellId &id,
               std::to_string(CKPT_VERSION);
         return false;
     }
-    if (r.u64() != ckptStatsSchemaFp()) {
+    if (r.u64() != statsSchemaFingerprint()) {
         why = "stats schema fingerprint mismatch (different binary)";
         return false;
     }
@@ -385,28 +345,27 @@ ckptConfigFromEnv(uint64_t ckpt_insts)
 uint64_t
 programFingerprint(const Program &prog)
 {
-    uint64_t h = FNV_OFFSET;
-    fnvMix(h, prog.textBase);
-    fnvMix(h, prog.entry);
-    fnvMix(h, prog.stackTop);
-    fnvMix(h, prog.text.size());
+    uint64_t h = fnv::OFFSET;
+    fnv::mixU64(h, prog.textBase);
+    fnv::mixU64(h, prog.entry);
+    fnv::mixU64(h, prog.stackTop);
+    fnv::mixU64(h, prog.text.size());
     for (const Instr &i : prog.text) {
-        fnvMix(h, static_cast<uint64_t>(i.op));
-        fnvMix(h, (static_cast<uint64_t>(i.rd) << 24) |
-                      (static_cast<uint64_t>(i.rd2) << 16) |
-                      (static_cast<uint64_t>(i.rs) << 8) |
-                      static_cast<uint64_t>(i.rt));
-        fnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(i.imm)));
-        fnvMix(h, i.target);
+        fnv::mixU64(h, static_cast<uint64_t>(i.op));
+        fnv::mixU64(h, (static_cast<uint64_t>(i.rd) << 24) |
+                           (static_cast<uint64_t>(i.rd2) << 16) |
+                           (static_cast<uint64_t>(i.rs) << 8) |
+                           static_cast<uint64_t>(i.rt));
+        fnv::mixU64(h,
+                    static_cast<uint64_t>(static_cast<uint32_t>(i.imm)));
+        fnv::mixU64(h, i.target);
     }
-    fnvMix(h, prog.dataInit.size());
+    fnv::mixU64(h, prog.dataInit.size());
     for (const auto &blk : prog.dataInit) {
-        fnvMix(h, blk.first);
-        fnvMix(h, blk.second.size());
-        for (uint8_t b : blk.second) {
-            h ^= b;
-            h *= FNV_PRIME;
-        }
+        fnv::mixU64(h, blk.first);
+        fnv::mixU64(h, blk.second.size());
+        for (uint8_t b : blk.second)
+            fnv::mixByte(h, b);
     }
     return h;
 }

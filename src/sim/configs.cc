@@ -34,7 +34,7 @@ vpConfig(VpScheme scheme, ReexecPolicy reexec,
 {
     CoreParams p = baseConfig();
     p.technique = Technique::VP;
-    p.vpt = VptParams{16 * 1024, 4, scheme, 2, 2};
+    p.vpt = VptParams{16 * 1024, 4, scheme, 2};
     p.reexec = reexec;
     p.branchRes = branch_res;
     p.vpVerifyLatency = verify_latency;
@@ -47,7 +47,7 @@ hybridConfig(VpScheme scheme, BranchResolution branch_res,
 {
     CoreParams p = baseConfig();
     p.technique = Technique::Hybrid;
-    p.vpt = VptParams{16 * 1024, 4, scheme, 2, 2};
+    p.vpt = VptParams{16 * 1024, 4, scheme, 2};
     p.rb = RbParams{4 * 1024, 4};
     p.branchRes = branch_res;
     p.vpVerifyLatency = verify_latency;

@@ -1,7 +1,6 @@
 #include "sweep/isolate.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -17,6 +16,7 @@
 
 #include "common/deadline.hh"
 #include "common/env.hh"
+#include "common/fnv_json.hh"
 #include "common/logging.hh"
 #include "fuzz/generator.hh"
 #include "sim/checkpoint.hh"
@@ -150,8 +150,8 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
         CkptRunResult cr = runWithCheckpoints(
             sim, ckptConfigFromEnv(cell.params.ckptInsts), id,
             allow_resume);
-        // A machine that can never commit (say, a zero-entry ROB) runs
-        // to its cycle limit without error; its stats are no result.
+        // A run whose cycle limit ends it before the first commit
+        // finishes without error; its stats are no result.
         if (!cr.stopped && sim.stats().committedInsts == 0 &&
             !sim.stats().haltedCleanly) {
             panic("cell committed no instruction and did not halt (" +
@@ -242,32 +242,13 @@ extractString(const std::string &text, const char *key, std::string &out)
     return true;
 }
 
-bool
-extractU64(const std::string &text, const char *key, uint64_t &out)
-{
-    std::string needle = std::string("\"") + key + "\": ";
-    size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    if (pos >= text.size() ||
-        !std::isdigit(static_cast<unsigned char>(text[pos])))
-        return false;
-    uint64_t v = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos])))
-        v = v * 10 + static_cast<uint64_t>(text[pos++] - '0');
-    out = v;
-    return true;
-}
-
 /** The child's result payload. The stats object comes last so a
  *  truncated payload (child killed mid-write) fails statsFromJson()
  *  and takes the abnormal-exit path instead of half-parsing. */
 std::string
 encodeOutcome(const CellOutcome &out)
 {
-    // Phase durations travel as integer microseconds: extractU64 stays
+    // Phase durations travel as integer microseconds: jsonFieldU64 stays
     // the only number parser the protocol needs.
     auto us = [](double s) {
         return std::to_string(static_cast<uint64_t>(s * 1e6));
@@ -288,7 +269,7 @@ encodeOutcome(const CellOutcome &out)
          std::to_string(out.ckptResumed ? 1 : 0) + ",\n";
     s += "  \"ckpt_written\": " + std::to_string(out.ckptWritten) + ",\n";
     // The scheduler profile travels as prof_-prefixed integers (the
-    // prefix keeps extractU64 needles from colliding with stats keys).
+    // prefix keeps jsonFieldU64 needles from colliding with stats keys).
     s += "  \"prof_enabled\": " +
          std::to_string(out.profile.enabled ? 1 : 0) + ",\n";
     forEachProfileField(out.profile,
@@ -309,25 +290,25 @@ decodeOutcome(const std::string &text, CellOutcome &out)
     uint64_t setup_us = 0, run_us = 0, asm_built = 0, warm_built = 0;
     uint64_t ckpt_stopped = 0, ckpt_resumed = 0, ckpt_written = 0;
     CellOutcome tmp;
-    if (!extractU64(text, "failed", failed) ||
-        !extractU64(text, "timed_out", timed_out) ||
-        !extractU64(text, "setup_us", setup_us) ||
-        !extractU64(text, "run_us", run_us) ||
-        !extractU64(text, "asm_built", asm_built) ||
-        !extractU64(text, "warm_built", warm_built) ||
-        !extractU64(text, "ckpt_stopped", ckpt_stopped) ||
-        !extractU64(text, "ckpt_resumed", ckpt_resumed) ||
-        !extractU64(text, "ckpt_written", ckpt_written) ||
+    if (!jsonFieldU64(text, "failed", failed) ||
+        !jsonFieldU64(text, "timed_out", timed_out) ||
+        !jsonFieldU64(text, "setup_us", setup_us) ||
+        !jsonFieldU64(text, "run_us", run_us) ||
+        !jsonFieldU64(text, "asm_built", asm_built) ||
+        !jsonFieldU64(text, "warm_built", warm_built) ||
+        !jsonFieldU64(text, "ckpt_stopped", ckpt_stopped) ||
+        !jsonFieldU64(text, "ckpt_resumed", ckpt_resumed) ||
+        !jsonFieldU64(text, "ckpt_written", ckpt_written) ||
         !extractString(text, "input", tmp.workloadInput) ||
         !extractString(text, "error", tmp.error))
         return false;
     uint64_t prof_enabled = 0;
-    bool prof_ok = extractU64(text, "prof_enabled", prof_enabled);
+    bool prof_ok = jsonFieldU64(text, "prof_enabled", prof_enabled);
     forEachProfileField(tmp.profile,
                         [&](const char *name, uint64_t &v) {
                             std::string key = "prof_" + std::string(name);
                             prof_ok = prof_ok &&
-                                      extractU64(text, key.c_str(), v);
+                                      jsonFieldU64(text, key.c_str(), v);
                         });
     if (!prof_ok)
         return false;

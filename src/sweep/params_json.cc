@@ -1,8 +1,9 @@
 #include "sweep/params_json.hh"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
+
+#include "common/fnv_json.hh"
 
 namespace vpir
 {
@@ -12,79 +13,36 @@ namespace sweep
 uint64_t
 paramsSchemaFingerprint()
 {
-    static const uint64_t fp = [] {
-        constexpr uint64_t FNV_OFFSET = 0xcbf29ce484222325ull;
-        constexpr uint64_t FNV_PRIME = 0x100000001b3ull;
-        uint64_t h = FNV_OFFSET;
+    static const uint64_t fp = fnv::schemaFingerprint([](auto &&mix) {
         CoreParams tmp;
-        forEachParamField(tmp, [&](const char *name, uint64_t &) {
-            for (const char *c = name; *c; ++c) {
-                h ^= static_cast<unsigned char>(*c);
-                h *= FNV_PRIME;
-            }
-            h ^= '\n';
-            h *= FNV_PRIME;
+        forEachParamField(tmp, [&mix](const ParamRow &row, uint64_t) {
+            mix(row.name);
         });
-        return h;
-    }();
+    });
     return fp;
 }
 
 std::string
 paramsToJson(const CoreParams &p)
 {
-    CoreParams tmp = p; // the visitor writes back; a copy keeps p const
     std::string out = "{";
-    bool first = true;
-    forEachParamField(tmp, [&](const char *name, uint64_t &v) {
+    forEachParamField(p, [&out](const ParamRow &row, uint64_t v) {
         char buf[96];
         std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64,
-                      first ? "" : ", ", name, v);
+                      out.size() > 1 ? ", " : "", row.name, v);
         out += buf;
-        first = false;
     });
     out += "}";
     return out;
 }
-
-namespace
-{
-
-bool
-lookupField(const std::string &s, const char *name, uint64_t &out)
-{
-    std::string needle = std::string("\"") + name + "\"";
-    size_t pos = s.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < s.size() &&
-           (s[pos] == ':' ||
-            std::isspace(static_cast<unsigned char>(s[pos]))))
-        ++pos;
-    if (pos >= s.size() ||
-        !std::isdigit(static_cast<unsigned char>(s[pos])))
-        return false;
-    uint64_t v = 0;
-    while (pos < s.size() &&
-           std::isdigit(static_cast<unsigned char>(s[pos]))) {
-        v = v * 10 + static_cast<uint64_t>(s[pos] - '0');
-        ++pos;
-    }
-    out = v;
-    return true;
-}
-
-} // anonymous namespace
 
 bool
 paramsFromJson(const std::string &json, CoreParams &out)
 {
     CoreParams tmp;
     bool ok = true;
-    forEachParamField(tmp, [&](const char *name, uint64_t &v) {
-        if (!lookupField(json, name, v))
-            ok = false;
+    forEachParamField(tmp, [&](const ParamRow &row, uint64_t &v) {
+        ok = ok && jsonFieldU64(json, row.name, v) && v <= row.cap;
     });
     if (!ok)
         return false;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Lossless JSON (de)serialization of CoreStats for the sweep engine's
- * on-disk result cache, plus a generic field visitor the sweep tests
- * use to compare two stat sets bit for bit.
+ * on-disk result cache, plus the counter visitor the sweep tests and
+ * perfbench use to compare and sum stat sets. Both are folds over the
+ * CoreStats field table (core/core_stats.hh).
  */
 
 #ifndef VPIR_SWEEP_STATS_JSON_HH
@@ -18,81 +19,29 @@ namespace sweep
 {
 
 /**
- * Visit every scalar counter of a CoreStats by name. The visitor
- * signature is fn(const char *name, uint64_t &value); haltedCleanly
- * is visited as 0/1 through a proxy, the execCountHist buckets as
- * execCountHist0..3. Serialization, parsing, and stat comparison all
- * share this single field list so they cannot drift apart.
+ * Visit every uint64_t counter of a CoreStats as fn(const char *name,
+ * uint64_t &value), in table order; haltedCleanly, the one bool
+ * field, is skipped.
  */
 template <typename Stats, typename Fn>
 void
 forEachStatField(Stats &st, Fn &&fn)
 {
-#define VPIR_STAT_FIELD(name) fn(#name, st.name)
-    VPIR_STAT_FIELD(cycles);
-    VPIR_STAT_FIELD(committedInsts);
-    VPIR_STAT_FIELD(committedMemOps);
-    VPIR_STAT_FIELD(committedLoads);
-    VPIR_STAT_FIELD(committedStores);
-    VPIR_STAT_FIELD(executedInsts);
-    VPIR_STAT_FIELD(squashedExecuted);
-    VPIR_STAT_FIELD(squashedRecovered);
-    VPIR_STAT_FIELD(branchSquashes);
-    VPIR_STAT_FIELD(spuriousSquashes);
-    VPIR_STAT_FIELD(condBranches);
-    VPIR_STAT_FIELD(condMispredicted);
-    VPIR_STAT_FIELD(returns);
-    VPIR_STAT_FIELD(returnMispredicted);
-    VPIR_STAT_FIELD(branchResLatSum);
-    VPIR_STAT_FIELD(branchResCount);
-    VPIR_STAT_FIELD(resourceRequests);
-    VPIR_STAT_FIELD(resourceDenied);
-    fn("execCountHist0", st.execCountHist[0]);
-    fn("execCountHist1", st.execCountHist[1]);
-    fn("execCountHist2", st.execCountHist[2]);
-    fn("execCountHist3", st.execCountHist[3]);
-    VPIR_STAT_FIELD(reusedResults);
-    VPIR_STAT_FIELD(reusedAddrs);
-    VPIR_STAT_FIELD(reusedControl);
-    VPIR_STAT_FIELD(resolvableControl);
-    VPIR_STAT_FIELD(vpResultPredicted);
-    VPIR_STAT_FIELD(vpResultCorrect);
-    VPIR_STAT_FIELD(vpResultWrong);
-    VPIR_STAT_FIELD(vpAddrPredicted);
-    VPIR_STAT_FIELD(vpAddrCorrect);
-    VPIR_STAT_FIELD(vpAddrWrong);
-    VPIR_STAT_FIELD(valueMispredictEvents);
-    VPIR_STAT_FIELD(icacheAccesses);
-    VPIR_STAT_FIELD(icacheMisses);
-    VPIR_STAT_FIELD(dcacheAccesses);
-    VPIR_STAT_FIELD(dcacheMisses);
-    VPIR_STAT_FIELD(checkedInsts);
-    VPIR_STAT_FIELD(faultsVptValue);
-    VPIR_STAT_FIELD(faultsVptConf);
-    VPIR_STAT_FIELD(faultsRbOperand);
-    VPIR_STAT_FIELD(faultsRbResult);
-    VPIR_STAT_FIELD(faultsRbLink);
-    VPIR_STAT_FIELD(faultsRbDropInv);
-#undef VPIR_STAT_FIELD
+    forEachStatRow(st, [&fn](const char *name, const char *, auto &v) {
+        if constexpr (!isStatFlag<decltype(v)>)
+            fn(name, v);
+    });
 }
 
-/**
- * FNV-1a fingerprint of the serialized stat schema: every field name
- * visited by forEachStatField() (plus haltedCleanly), in order. Two
- * binaries agree on this value iff their statsToJson() payloads are
- * field-compatible, so the disk cache stamps it into every file and
- * rejects mismatches loudly instead of failing a silent
- * field-by-field parse.
- */
-uint64_t statsSchemaFingerprint();
-
-/** Render the counters as a flat JSON object (uint64 as decimal). */
+/** Render every field as a flat JSON object (uint64 as decimal,
+ *  haltedCleanly as 0/1). */
 std::string statsToJson(const CoreStats &st);
 
 /**
  * Parse a JSON object produced by statsToJson() back into @p out.
- * @return false (leaving @p out untouched) on any malformed input or
- * missing field — callers fall back to recomputation.
+ * @return false (leaving @p out untouched) on any malformed input,
+ * missing field or value that does not fit its field — callers fall
+ * back to recomputation.
  */
 bool statsFromJson(const std::string &json, CoreStats &out);
 

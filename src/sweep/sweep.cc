@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "common/env.hh"
+#include "common/fnv_json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sim/checkpoint.hh"
@@ -64,93 +65,17 @@ defaultCacheDir()
 
 // --------------------------------------------------------------- hash
 
-namespace
-{
-
-constexpr uint64_t FNV_OFFSET = 0xcbf29ce484222325ull;
-constexpr uint64_t FNV_PRIME = 0x100000001b3ull;
-
-void
-mix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= FNV_PRIME;
-    }
-}
-
-void
-mixCache(uint64_t &h, const CacheParams &c)
-{
-    mix(h, c.sizeBytes);
-    mix(h, c.ways);
-    mix(h, c.lineBytes);
-    mix(h, c.hitLatency);
-    mix(h, c.missLatency);
-}
-
-} // anonymous namespace
-
 uint64_t
 hashParams(const CoreParams &p)
 {
-    // Every field of CoreParams (and its nested parameter structs)
-    // must be mixed in: a skipped field is a latent stale-cache
-    // collision. This guard fails to compile when CoreParams changes
-    // size — update the field list below, then the constant.
-    static_assert(sizeof(CoreParams) == 240,
-                  "CoreParams changed: update hashParams()");
-
-    uint64_t h = FNV_OFFSET;
-    mix(h, p.fetchWidth);
-    mix(h, p.fetchQueueSize);
-    mix(h, p.dispatchWidth);
-    mix(h, p.issueWidth);
-    mix(h, p.commitWidth);
-    mix(h, p.robEntries);
-    mix(h, p.lsqEntries);
-    mix(h, p.maxUnresolvedBranches);
-    mix(h, p.dcachePorts);
-    mixCache(h, p.icache);
-    mixCache(h, p.dcache);
-    mix(h, p.bpred.historyBits);
-    mix(h, p.bpred.tableEntries);
-    mix(h, p.bpred.btbEntries);
-    mix(h, p.bpred.rasEntries);
-    mix(h, static_cast<uint64_t>(p.technique));
-    mix(h, p.vpt.entries);
-    mix(h, p.vpt.ways);
-    mix(h, static_cast<uint64_t>(p.vpt.scheme));
-    mix(h, p.vpt.confidenceBits);
-    mix(h, p.vpt.confidenceThreshold);
-    mix(h, p.rb.entries);
-    mix(h, p.rb.ways);
-    mix(h, static_cast<uint64_t>(p.branchRes));
-    mix(h, static_cast<uint64_t>(p.reexec));
-    mix(h, p.vpVerifyLatency);
-    mix(h, static_cast<uint64_t>(p.irValidation));
-    mix(h, p.vpPredictResults ? 1 : 0);
-    mix(h, p.vpPredictAddresses ? 1 : 0);
-    mix(h, p.maxCycles);
-    mix(h, p.maxInsts);
-    mix(h, p.warmupInsts);
-    mix(h, p.checkRetire ? 1 : 0);
-    mix(h, p.irOracleCheck ? 1 : 0);
-    mix(h, p.auditInvariants ? 1 : 0);
-    mix(h, p.watchdogCycles);
-    mix(h, p.ckptInsts);
-    mix(h, p.faults.seed);
-    auto mixDouble = [&h](double d) {
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        mix(h, bits);
-    };
-    mixDouble(p.faults.vptValueRate);
-    mixDouble(p.faults.vptConfRate);
-    mixDouble(p.faults.rbOperandRate);
-    mixDouble(p.faults.rbResultRate);
-    mixDouble(p.faults.rbLinkRate);
-    mixDouble(p.faults.rbDropInvRate);
+    uint64_t h = fnv::OFFSET;
+    forEachParamField(p, [&h](const ParamRow &row, uint64_t v) {
+        fnv::mixU64(h, v);
+        // The retired vpt.confidenceBits (always 2) keeps its slot,
+        // so no existing cell key moves.
+        if (std::strcmp(row.name, "vpt.scheme") == 0)
+            fnv::mixU64(h, 2);
+    });
     return h;
 }
 
@@ -158,15 +83,12 @@ uint64_t
 cellHash(const SweepCell &cell)
 {
     uint64_t h = hashParams(cell.params);
-    for (char c : cell.workload) {
-        h ^= static_cast<unsigned char>(c);
-        h *= FNV_PRIME;
-    }
+    fnv::mixBytes(h, cell.workload);
     uint64_t scale_bits;
     static_assert(sizeof(scale_bits) == sizeof(cell.scale.factor),
                   "scale factor must be 64-bit");
     std::memcpy(&scale_bits, &cell.scale.factor, sizeof(scale_bits));
-    mix(h, scale_bits);
+    fnv::mixU64(h, scale_bits);
     return h;
 }
 

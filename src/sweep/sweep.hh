@@ -72,9 +72,10 @@ unsigned defaultJobs();
 std::string defaultCacheDir();
 
 /**
- * Stable FNV-1a hash over every CoreParams field (machine geometry,
- * caches, predictor, technique knobs, run limits). Stable across
- * processes — safe as an on-disk cache key.
+ * Stable FNV-1a fold over every row of the CoreParams field table
+ * (forEachParamField: machine geometry, caches, predictor, technique
+ * knobs, run limits). Stable across processes — safe as an on-disk
+ * cache key.
  */
 uint64_t hashParams(const CoreParams &p);
 

@@ -48,7 +48,7 @@ struct VptParams
     unsigned entries = 16 * 1024;
     unsigned ways = 4;
     VpScheme scheme = VpScheme::Magic;
-    unsigned confidenceBits = 2;
+    /** Minimum Vpt::Confidence count for an instance to predict. */
     unsigned confidenceThreshold = 2;
 };
 
@@ -63,6 +63,9 @@ struct VptPrediction
 class Vpt
 {
   public:
+    /** Per-entry confidence counter: 2 bits, fixed (§4.1.1). */
+    using Confidence = SatCounter<2>;
+
     explicit Vpt(const VptParams &params = VptParams());
 
     /**
@@ -101,7 +104,7 @@ class Vpt
     {
         uint64_t value = 0;
         Addr pc = 0;
-        SatCounter<2> conf;
+        Confidence conf;
         bool valid = false;
     };
 

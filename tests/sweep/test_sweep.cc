@@ -286,22 +286,18 @@ TEST(SweepEngine, PoisonedCellIsIsolatedFromHealthyNeighbors)
 
 TEST(SweepEngine, CellThatCommitsNothingFailsAndIsNotCached)
 {
-    // A zero-entry ROB can never commit: the core idles to its cycle
-    // limit without error. That is no result, so the sweep must report
-    // a failure and keep it out of the disk cache.
+    // A one-cycle limit ends the run before the first instruction can
+    // commit, without error. That is no result, so the sweep must
+    // report a failure and keep it out of the disk cache.
     std::string dir = scratchDir("nocommit");
-    CoreParams p = baseConfig();
-    setenv("VPIR_ROB_ENTRIES", "0", 1);
-    applyHardeningEnv(p);
-    unsetenv("VPIR_ROB_ENTRIES");
-    ASSERT_EQ(p.robEntries, 0u);
-    SweepCell stuck = cell("go", "rob0", p);
+    SweepCell stuck = cell("go", "cap1", baseConfig());
+    stuck.params.maxCycles = 1;
 
     SweepEngine eng(1, dir);
     EXPECT_EQ(eng.get(stuck).committedInsts, 0u);
     std::vector<CellFailure> fails = eng.failures();
     ASSERT_EQ(fails.size(), 1u);
-    EXPECT_EQ(fails[0].label, "rob0");
+    EXPECT_EQ(fails[0].label, "cap1");
     EXPECT_NE(fails[0].error.find("committed no instruction"),
               std::string::npos)
         << fails[0].error;
@@ -313,6 +309,32 @@ TEST(SweepEngine, CellThatCommitsNothingFailsAndIsNotCached)
     rerun.get(stuck);
     EXPECT_EQ(rerun.cellsFromDiskCache(), 0u);
     EXPECT_EQ(rerun.failures().size(), 1u);
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngine, MalformedMachineFailsAndIsNotCached)
+{
+    // A zero-entry ROB is rejected when the core is built: the cell
+    // becomes a structured failure naming the field and its rule, and
+    // nothing reaches the disk cache.
+    std::string dir = scratchDir("rob0");
+    CoreParams p = baseConfig();
+    setenv("VPIR_ROB_ENTRIES", "0", 1);
+    applyHardeningEnv(p);
+    unsetenv("VPIR_ROB_ENTRIES");
+    ASSERT_EQ(p.robEntries, 0u);
+    SweepCell bad = cell("go", "rob0", p);
+
+    SweepEngine eng(1, dir);
+    EXPECT_EQ(eng.get(bad).committedInsts, 0u);
+    std::vector<CellFailure> fails = eng.failures();
+    ASSERT_EQ(fails.size(), 1u);
+    EXPECT_EQ(fails[0].label, "rob0");
+    EXPECT_NE(fails[0].error.find("robEntries = 0 must be at least 1"),
+              std::string::npos)
+        << fails[0].error;
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
 
     std::filesystem::remove_all(dir);
 }
