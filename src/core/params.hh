@@ -107,9 +107,10 @@ struct CoreParams
     bool irOracleCheck = true;
 
     /** Audit pipeline invariants every cycle (instruction
-     *  conservation, ROB/LSQ occupancy bounds, no commit with an
-     *  unvalidated prediction, periodic RB/VPT entry sanity) and
-     *  panic at the cycle of first corruption. */
+     *  conservation, ROB/LSQ occupancy bounds, the scheduler's sets,
+     *  links and counters, no commit with an unvalidated prediction,
+     *  periodic RB/VPT entry sanity) and panic at the cycle of first
+     *  corruption. */
     bool auditInvariants = false;
 
     /** Panic with a pipeline dump if no instruction commits for this
@@ -168,8 +169,20 @@ template <typename Params, typename Fn>
 void
 forEachParamField(Params &p, Fn &&fn)
 {
+    // One tripwire per struct: padding in CoreParams can absorb a
+    // nested struct's change, so its own size is pinned too.
     static_assert(sizeof(CoreParams) == 240,
                   "CoreParams changed: add its row to forEachParamField()");
+    static_assert(sizeof(CacheParams) == 20,
+                  "CacheParams changed: add its row to forEachParamField()");
+    static_assert(sizeof(BpredParams) == 16,
+                  "BpredParams changed: add its row to forEachParamField()");
+    static_assert(sizeof(VptParams) == 16,
+                  "VptParams changed: add its row to forEachParamField()");
+    static_assert(sizeof(RbParams) == 8,
+                  "RbParams changed: add its row to forEachParamField()");
+    static_assert(sizeof(FaultPlan) == 56,
+                  "FaultPlan changed: add its row to forEachParamField()");
 
     auto row = [&fn](const char *name, auto &field, uint64_t lo,
                      uint64_t hi) {
