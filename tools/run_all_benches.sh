@@ -48,10 +48,13 @@ if [ "$ISOLATE" = 1 ]; then
     export VPIR_ISOLATE
 fi
 
-BENCHES="bench_table1 bench_table2 bench_table3 bench_table4
-         bench_table5 bench_table6 bench_fig3 bench_fig4 bench_fig5
-         bench_fig6 bench_fig7 bench_fig8 bench_fig9 bench_fig10
-         bench_ablation bench_hybrid"
+# The experiment list CMake writes from the manifest's binary names.
+LIST="$BUILD/bench/experiments.txt"
+if [ ! -f "$LIST" ]; then
+    echo "run_all_benches: no experiment list at '$LIST'" >&2
+    exit 2
+fi
+BENCHES=$(sed 's/^/bench_/' "$LIST")
 
 # The trap only records the signal; the shell runs it after the
 # harness in flight has finished its own graceful shutdown.
