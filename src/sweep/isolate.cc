@@ -104,7 +104,7 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
     // when a sanitizer runtime has installed its own SEGV handler
     // (which would report and exit with a status instead).
     if (const char *t = std::getenv("VPIR_TEST_CRASH_CELL");
-        t && cell.label == t) {
+        t && *t && cell.label.find(t) != std::string::npos) {
         std::signal(SIGSEGV, SIG_DFL);
         raise(SIGSEGV);
     }
@@ -150,12 +150,19 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
         CkptRunResult cr = runWithCheckpoints(
             sim, ckptConfigFromEnv(cell.params.ckptInsts), id,
             allow_resume);
-        // A run whose cycle limit ends it before the first commit
-        // finishes without error; its stats are no result.
-        if (!cr.stopped && sim.stats().committedInsts == 0 &&
-            !sim.stats().haltedCleanly) {
-            panic("cell committed no instruction and did not halt (" +
-                  std::to_string(sim.stats().cycles) + " cycles)");
+        // A run whose cycle limit ends it short of its instruction
+        // budget finishes without error; its stats are no result.
+        const CoreStats &st = sim.stats();
+        if (!cr.stopped && !st.haltedCleanly &&
+            st.committedInsts < cell.params.maxInsts) {
+            panic("cell committed " +
+                  (st.committedInsts
+                       ? std::to_string(st.committedInsts) + " of " +
+                             std::to_string(cell.params.maxInsts) +
+                             " budgeted instructions"
+                       : std::string("no instruction")) +
+                  " and did not halt (" + std::to_string(st.cycles) +
+                  " cycles)");
         }
         out.stats = sim.stats();
         out.profile = sim.core().schedProfile();

@@ -26,9 +26,9 @@
  * cooperatively: computeCellOnce() arms a CellDeadlineScope that the
  * core's cycle loop polls (see common/deadline.hh).
  *
- * VPIR_TEST_CRASH_CELL=<label> is a test/CI hook: a cell whose label
- * matches raises SIGSEGV in the worker, standing in for a real
- * simulator crash so containment can be proven end to end.
+ * VPIR_TEST_CRASH_CELL=<text> is a test/CI hook: a cell whose label
+ * contains the text raises SIGSEGV in the worker, standing in for a
+ * real simulator crash so containment can be proven end to end.
  */
 
 #ifndef VPIR_SWEEP_ISOLATE_HH

@@ -313,6 +313,35 @@ TEST(SweepEngine, CellThatCommitsNothingFailsAndIsNotCached)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SweepEngine, CellStoppedShortOfItsBudgetFailsAndIsNotCached)
+{
+    // A 500-cycle cap ends the run after some commits but long before
+    // the 100K-instruction budget, without error. A partial run is no
+    // result either: failed, and never cached.
+    std::string dir = scratchDir("short");
+    SweepCell shortCell = cell("compress", "cap500", baseConfig());
+    shortCell.params = withLimits(shortCell.params, 100000, 500);
+
+    SweepEngine eng(1, dir);
+    EXPECT_EQ(eng.get(shortCell).committedInsts, 0u);
+    std::vector<CellFailure> fails = eng.failures();
+    ASSERT_EQ(fails.size(), 1u);
+    EXPECT_NE(fails[0].error.find("of 100000 budgeted instructions"),
+              std::string::npos)
+        << fails[0].error;
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+    // A budget the program halts within is a result, cap or not.
+    SweepCell halts = cell("compress", "halts", baseConfig());
+    halts.params = withLimits(halts.params, UINT64_MAX, 5000000);
+    halts.scale.factor = 0.01;
+    SweepEngine ok(1, dir);
+    EXPECT_TRUE(ok.get(halts).haltedCleanly);
+    EXPECT_TRUE(ok.failures().empty());
+
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepEngine, MalformedMachineFailsAndIsNotCached)
 {
     // A zero-entry ROB is rejected when the core is built: the cell
