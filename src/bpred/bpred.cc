@@ -12,30 +12,22 @@ namespace vpir
 namespace
 {
 
-/** Reject geometries that would index out of range or shift by a
- *  count the index math cannot take (undefined behaviour). */
+/** Internal guard: CoreParams::validate() rejects these geometries,
+ *  which would index out of range or shift by 32 or more, first. */
 const BpredParams &
-validated(const BpredParams &p)
+checked(const BpredParams &p)
 {
-    if (!isPowerOf2(p.tableEntries))
-        panic("bpred: tableEntries (" + std::to_string(p.tableEntries) +
-              ") must be a power of two");
-    if (!isPowerOf2(p.btbEntries))
-        panic("bpred: btbEntries (" + std::to_string(p.btbEntries) +
-              ") must be a power of two");
-    if (p.rasEntries == 0)
-        panic("bpred: rasEntries must be at least 1");
-    if (p.historyBits >= 32 || p.historyBits > floorLog2(p.tableEntries))
-        panic("bpred: historyBits (" + std::to_string(p.historyBits) +
-              ") must be below 32 and at most log2(tableEntries) = " +
-              std::to_string(floorLog2(p.tableEntries)));
+    VPIR_ASSERT(isPowerOf2(p.tableEntries) && isPowerOf2(p.btbEntries) &&
+                    p.rasEntries >= 1 &&
+                    p.historyBits <= floorLog2(p.tableEntries),
+                "bpred geometry not validated");
     return p;
 }
 
 } // anonymous namespace
 
 BranchPredUnit::BranchPredUnit(const BpredParams &p)
-    : params(validated(p)),
+    : params(checked(p)),
       tableBits(floorLog2(p.tableEntries)),
       btbBits(floorLog2(p.btbEntries)),
       histMask((1u << p.historyBits) - 1),

@@ -133,10 +133,12 @@ struct CoreParams
 
     /**
      * Panic, naming the field and the rule it breaks, unless every
-     * forEachParamField() row lies within its [lo, hi] and each cache
-     * size is a whole number of sets. Geometry rules a component
-     * already enforces itself (bpred, cache and table set counts) stay
-     * with that component.
+     * forEachParamField() row lies within its [lo, hi] and every
+     * table's geometry can be indexed: power-of-two predictor tables
+     * and cache lines, a history no longer than the predictor index,
+     * and a power-of-two number of whole sets in each cache, the VPT
+     * and the reuse buffer. The components assert the same geometry
+     * only as internal guards.
      */
     void validate() const;
 };
@@ -222,26 +224,26 @@ forEachParamField(Params &p, Fn &&fn)
     VPIR_PARAM(maxUnresolvedBranches, 1, ANY);
     VPIR_PARAM(dcachePorts, 1, ANY);
     VPIR_PARAM(icache.sizeBytes, 0, ANY);
-    VPIR_PARAM(icache.ways, 0, ANY);
+    VPIR_PARAM(icache.ways, 1, ANY);
     VPIR_PARAM(icache.lineBytes, 0, ANY);
     VPIR_PARAM(icache.hitLatency, 0, ANY);
     VPIR_PARAM(icache.missLatency, 0, ANY);
     VPIR_PARAM(dcache.sizeBytes, 0, ANY);
-    VPIR_PARAM(dcache.ways, 0, ANY);
+    VPIR_PARAM(dcache.ways, 1, ANY);
     VPIR_PARAM(dcache.lineBytes, 0, ANY);
     VPIR_PARAM(dcache.hitLatency, 0, ANY);
     VPIR_PARAM(dcache.missLatency, 0, ANY);
-    VPIR_PARAM(bpred.historyBits, 0, ANY);
+    VPIR_PARAM(bpred.historyBits, 0, 31);
     VPIR_PARAM(bpred.tableEntries, 0, ANY);
     VPIR_PARAM(bpred.btbEntries, 0, ANY);
-    VPIR_PARAM(bpred.rasEntries, 0, ANY);
+    VPIR_PARAM(bpred.rasEntries, 1, ANY);
     VPIR_PARAM(technique, 0, last(Technique::Hybrid));
     VPIR_PARAM(vpt.entries, 0, ANY);
-    VPIR_PARAM(vpt.ways, 0, ANY);
+    VPIR_PARAM(vpt.ways, 1, ANY);
     VPIR_PARAM(vpt.scheme, 0, last(VpScheme::Lvp));
     VPIR_PARAM(vpt.confidenceThreshold, 0, Vpt::Confidence::max());
     VPIR_PARAM(rb.entries, 0, ANY);
-    VPIR_PARAM(rb.ways, 0, ANY);
+    VPIR_PARAM(rb.ways, 1, ANY);
     VPIR_PARAM(branchRes, 0, last(BranchResolution::NonSpeculative));
     VPIR_PARAM(reexec, 0, last(ReexecPolicy::Single));
     VPIR_PARAM(vpVerifyLatency, 0, ANY);

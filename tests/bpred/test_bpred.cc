@@ -8,6 +8,7 @@
 
 #include "bpred/bpred.hh"
 #include "common/logging.hh"
+#include "core/params.hh"
 
 using namespace vpir;
 
@@ -212,13 +213,16 @@ TEST(Bpred, DeepCallChainsWrapRas)
 namespace
 {
 
-/** The constructor's panic message for @p p ("" when it accepts). */
+/** CoreParams::validate()'s panic message for a machine with
+ *  predictor @p p ("" when it accepts). */
 std::string
 rejection(const BpredParams &p)
 {
+    CoreParams machine;
+    machine.bpred = p;
     PanicThrowScope throws;
     try {
-        BranchPredUnit bp(p);
+        machine.validate();
     } catch (const SimError &e) {
         return e.what();
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * CoreParams::validate(): every malformed machine the field table's
- * ranges and the cache-geometry rule describe is rejected when the
+ * ranges and the table-geometry rules describe is rejected when the
  * core is built, with a panic naming the field and the rule, and every
  * configuration the simulator ships passes.
  */
@@ -67,6 +67,37 @@ const BadMachine BAD_MACHINES[] = {
      [](CoreParams &p) { p.dcache.sizeBytes = 65568; }},
     {"vpt.confidenceThreshold = 4 must be at most 3",
      [](CoreParams &p) { p.vpt.confidenceThreshold = 4; }},
+    // Table geometry.
+    {"bpred.tableEntries = 1000 must be a power of two",
+     [](CoreParams &p) { p.bpred.tableEntries = 1000; }},
+    {"bpred.btbEntries = 3 must be a power of two",
+     [](CoreParams &p) { p.bpred.btbEntries = 3; }},
+    {"bpred.rasEntries = 0 must be at least 1",
+     [](CoreParams &p) { p.bpred.rasEntries = 0; }},
+    {"bpred.historyBits = 15 must be at most log2(bpred.tableEntries) = 14",
+     [](CoreParams &p) { p.bpred.historyBits = 15; }},
+    {"bpred.historyBits = 32 must be at most 31",
+     [](CoreParams &p) { p.bpred.historyBits = 32; }},
+    {"icache.lineBytes = 48 must be a power of two",
+     [](CoreParams &p) { p.icache.lineBytes = 48; }},
+    {"icache.ways = 0 must be at least 1",
+     [](CoreParams &p) { p.icache.ways = 0; }},
+    {"dcache.sizeBytes = 49152 must give a power-of-two number of sets, "
+     "not 768",
+     [](CoreParams &p) { p.dcache.sizeBytes = 49152; }},
+    {"vpt.ways = 0 must be at least 1",
+     [](CoreParams &p) { p.vpt.ways = 0; }},
+    {"vpt.entries = 16384 must be a multiple of ways = 3",
+     [](CoreParams &p) { p.vpt.ways = 3; }},
+    {"vpt.entries = 12288 must give a power-of-two number of sets, not "
+     "3072",
+     [](CoreParams &p) { p.vpt.entries = 12288; }},
+    {"rb.ways = 0 must be at least 1",
+     [](CoreParams &p) { p.rb.ways = 0; }},
+    {"rb.entries = 4096 must be a multiple of ways = 3",
+     [](CoreParams &p) { p.rb.ways = 3; }},
+    {"rb.entries = 3072 must give a power-of-two number of sets, not 768",
+     [](CoreParams &p) { p.rb.entries = 3072; }},
 };
 
 } // anonymous namespace
