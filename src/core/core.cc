@@ -1851,6 +1851,18 @@ Core::auditCommit(const RobEntry &e) const
 }
 
 void
+Core::auditTables() const
+{
+    std::string w = rb.audit();
+    if (w.empty())
+        w = vptResult.audit();
+    if (w.empty())
+        w = vptAddr.audit();
+    if (!w.empty())
+        auditFail(w);
+}
+
+void
 Core::auditCycle() const
 {
     // Occupancy bounds.
@@ -2123,15 +2135,9 @@ Core::auditCycle() const
     }
 
     // Periodic structure sweeps (O(entries), too hot for every cycle).
-    if ((curCycle & 0xfff) == 0) {
-        std::string w = rb.audit();
-        if (w.empty())
-            w = vptResult.audit();
-        if (w.empty())
-            w = vptAddr.audit();
-        if (!w.empty())
-            auditFail(w);
-    }
+    // Cycle 0 is skipped: nothing has written the tables yet.
+    if (curCycle != 0 && (curCycle & 0xfff) == 0)
+        auditTables();
 
     if (unresolved != robUnresolvedCtrl)
         auditFail("unresolved-control counter " +
@@ -2294,6 +2300,10 @@ Core::cycle()
     ++st.cycles;
     if (st.cycles >= params.maxCycles)
         done = true;
+    // A final table sweep covers cells shorter than the periodic one's
+    // interval.
+    if (done && params.auditInvariants)
+        auditTables();
     return !done;
 }
 
@@ -2448,6 +2458,9 @@ Core::restoreCheckpoint(CkptReader &r)
     done = false;
     ckptDraining = false;
     ckptBoundary = false;
+    // The tables came from disk: sweep them before simulating on.
+    if (params.auditInvariants)
+        auditTables();
     return true;
 }
 

@@ -387,10 +387,13 @@ class Core
      *  occupancy bounds, ROB ordering, the order list, LSQ/storeQ
      *  liveness, the scheduler's sets, waiter links and counters
      *  against a brute-force recount, the checkpoint-slot run, and
-     *  (periodically) RB/VPT entry sanity — all ROB facts from one
-     *  walk of the live window. Panics at the cycle of first
+     *  (every 4096 cycles) RB/VPT entry sanity — all ROB facts from
+     *  one walk of the live window. Panics at the cycle of first
      *  corruption. */
     void auditCycle() const;
+    /** RB/VPT entry sanity sweep: every 4096 cycles from cycle 4096,
+     *  at the end of the cell and after a checkpoint restore. */
+    void auditTables() const;
     /** Commit-side audit: no instruction may retire carrying an
      *  unvalidated (wrong) predicted or reused value. */
     void auditCommit(const RobEntry &e) const;

@@ -154,6 +154,8 @@ class ReuseBuffer
     bool deserialize(CkptReader &r);
 
   private:
+    friend struct CoreAuditProbe; //!< plants corruption in audit tests
+
     struct Operand
     {
         RegId reg = REG_INVALID;

@@ -283,6 +283,20 @@ struct CoreAuditProbe
         ++c.fqResolvable;
         return true;
     }
+
+    /** Zero the serial of the first valid RB entry. Refreshing the
+     *  entry keeps the bad serial; only its eviction would repair it. */
+    static bool
+    zeroRbSerial(Core &c)
+    {
+        for (ReuseBuffer::Entry &e : c.rb.entries) {
+            if (e.valid) {
+                e.serial = 0;
+                return true;
+            }
+        }
+        return false;
+    }
 };
 
 } // namespace vpir
@@ -517,4 +531,31 @@ TEST(CoreAuditFamilies, BumpedFetchQueueResolvableCounter)
 {
     expectAuditCatches(baseConfig(), CoreAuditProbe::bumpFqResolvable,
                        "fetch-queue resolvable counter");
+}
+
+TEST(CoreAuditFamilies, CorruptReuseBufferEntryCaughtAtCellEnd)
+{
+    // The table sweep runs every 4096 cycles, so a cell this short
+    // gets only the end-of-cell sweep: it must report the entry.
+    PanicThrowScope throws_;
+    CoreParams p = irConfig();
+    p.auditInvariants = true;
+    p.maxInsts = 2000;
+    Workload w = makeWorkload("compress", WorkloadScale{});
+    Core core(p, w.program);
+    bool planted = false;
+    try {
+        while (core.cycle())
+            planted = planted || CoreAuditProbe::zeroRbSerial(core);
+    } catch (const SimError &e) {
+        EXPECT_TRUE(planted);
+        EXPECT_LT(core.now(), 4096u);
+        EXPECT_NE(std::string(e.what()).find(
+                      "serial outside the issued range"),
+                  std::string::npos)
+            << e.what();
+        return;
+    }
+    FAIL() << "no sweep caught the corrupted RB entry (planted: "
+           << planted << ", " << core.now() << " cycles)";
 }
