@@ -336,16 +336,19 @@ ReuseBuffer::audit() const
         const Entry &e = entries[i];
         if (!e.valid)
             continue;
-        std::string at = "RB entry " + std::to_string(i) + " (pc " +
-                         std::to_string(e.pc) + "): ";
+        // Built only on failure: a clean sweep allocates nothing.
+        auto at = [&](const char *what) {
+            return "RB entry " + std::to_string(i) + " (pc " +
+                   std::to_string(e.pc) + "): " + what;
+        };
         if (e.isLd != isLoad(e.op))
-            return at + "cached isLd disagrees with opcode";
+            return at("cached isLd disagrees with opcode");
         if (e.memSz != memSize(e.op))
-            return at + "cached memSz disagrees with opcode";
+            return at("cached memSz disagrees with opcode");
         if (e.serial == 0 || e.serial >= nextSerial)
-            return at + "serial outside the issued range";
+            return at("serial outside the issued range");
         if (setIndex(e.pc) != static_cast<uint32_t>(i) / params.ways)
-            return at + "entry outside its PC's set";
+            return at("entry outside its PC's set");
         if (e.isLd) {
             // Every covered word must index back to this entry,
             // exactly once: through the node the entry owns for it,
@@ -356,7 +359,7 @@ ReuseBuffer::audit() const
             for (unsigned j = 0; j < n; ++j) {
                 const LoadNode &node = loadNodes[i * MAX_LOAD_WORDS + j];
                 if (!node.linked || node.word != words[j])
-                    return at + "load not registered for a covered word";
+                    return at("load not registered for a covered word");
             }
         }
     }
