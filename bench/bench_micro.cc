@@ -123,16 +123,17 @@ BM_FunctionalEmulation(benchmark::State &state)
     WorkloadScale sc;
     sc.factor = 1.0;
     Workload w = makeWorkload("gcc", sc);
+    const DecodedProgram code = predecode(w.program);
     auto st = std::make_unique<EmuState>();
     Emulator::loadProgram(w.program, *st);
-    auto eng = std::make_unique<FuncEngine>(w.program, *st);
+    auto eng = std::make_unique<FuncEngine>(code, *st);
     uint64_t insts = 0;
     for (auto _ : state) {
         if (eng->halted()) {
             state.PauseTiming();
             st = std::make_unique<EmuState>();
             Emulator::loadProgram(w.program, *st);
-            eng = std::make_unique<FuncEngine>(w.program, *st);
+            eng = std::make_unique<FuncEngine>(code, *st);
             state.ResumeTiming();
         }
         insts += eng->run(1024);

@@ -9,7 +9,7 @@
 namespace vpir
 {
 
-LockstepChecker::LockstepChecker(const Program &program,
+LockstepChecker::LockstepChecker(const DecodedProgram &program,
                                  const EmuSnapshot &warm)
     : state(warm.state), // COW page share; writes fault private
       engine(program, state)

@@ -23,9 +23,12 @@
  * into a catchable SimError.
  *
  * The checker shares nothing mutable with the core's emulation state:
- * it reads the same immutable Program, and starts from a copy-on-write
- * clone of the same warm snapshot, so the first write either machine
- * makes to a page clones it. That independence is the point.
+ * it reads the core's immutable predecoded program, and starts from a
+ * copy-on-write clone of the same warm snapshot, so the first write
+ * either machine makes to a page clones it. That independence is the
+ * point. (A wrong entry in the shared table would fool both machines
+ * alike; the Predecode.* tests pin the table against the ISA's decode
+ * definitions instead.)
  */
 
 #ifndef VPIR_CHECK_CHECKER_HH
@@ -60,15 +63,16 @@ class LockstepChecker
 {
   public:
     /**
-     * @param program  The (immutable) program image, shared with the
-     *                 core by reference.
+     * @param program  The (immutable) predecoded program, shared with
+     *                 the core by reference; it must outlive the
+     *                 checker.
      * @param warm     The post-warmup snapshot the core starts from,
      *                 so both machines start the checked region
      *                 aligned. Cloned copy-on-write: the checker still
      *                 shares no *mutable* state with the core — both
      *                 write-fault private pages.
      */
-    LockstepChecker(const Program &program, const EmuSnapshot &warm);
+    LockstepChecker(const DecodedProgram &program, const EmuSnapshot &warm);
 
     /** Cross-validate one retired instruction; panics on divergence. */
     void onRetire(const Retired &r);

@@ -2,15 +2,16 @@
  * @file
  * The two primitives the field tables (core/params.hh,
  * core/core_stats.hh) are folded with: FNV-1a, for cell keys, schema
- * fingerprints and state digests, and the flat-JSON u64 field
- * scanner, for result-cache files, repro bundles and isolated-cell
- * payloads.
+ * fingerprints and state digests, and the flat-JSON field scanners
+ * and string codec, for result-cache files, repro bundles and
+ * isolated-cell payloads.
  */
 
 #ifndef VPIR_COMMON_FNV_JSON_HH
 #define VPIR_COMMON_FNV_JSON_HH
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace vpir
@@ -75,6 +76,21 @@ schemaFingerprint(Visit &&visit)
  */
 bool jsonFieldU64(std::string_view json, std::string_view name,
                   uint64_t &out);
+
+/** @p s as the body of a JSON string: quotes and backslashes escaped,
+ *  newline, tab and carriage return as \n \t \r, every other control
+ *  character as \u00XX. Other bytes pass through. */
+std::string jsonEscape(std::string_view s);
+
+/**
+ * Find the first `"name"` key of a flat JSON object and unescape the
+ * string after its colon (jsonEscape()'s inverse; a \uXXXX escape
+ * keeps its low byte). @return false when the key is missing, its
+ * value is not a string, the string is unterminated, or it holds an
+ * escape jsonEscape() never writes.
+ */
+bool jsonFieldString(std::string_view json, std::string_view name,
+                     std::string &out);
 
 } // namespace vpir
 

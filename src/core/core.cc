@@ -34,7 +34,8 @@ Core::Core(const CoreParams &p, const Program &program,
            const EmuSnapshot *warm)
     : params(validated(p)),
       prog(program),
-      emu(program, state),
+      code(predecode(program)),
+      emu(state, program.entry),
       icache(p.icache),
       dcache(p.dcache),
       bpred(p.bpred),
@@ -66,7 +67,7 @@ Core::Core(const CoreParams &p, const Program &program,
     VPIR_ASSERT(warm->warmupInsts == p.warmupInsts,
                 "warm snapshot built for a different warmup length");
     if (p.checkRetire)
-        checker = std::make_unique<LockstepChecker>(program, *warm);
+        checker = std::make_unique<LockstepChecker>(code, *warm);
     // The clone is O(pages-resident) pointer copies; writes fault
     // private pages (see emu/state.hh).
     state = warm->state;
@@ -141,7 +142,7 @@ Core::operandView(int slot, int k, uint64_t t) const
 {
     const RobEntry &e = at(slot);
     OperandView v;
-    if (e.srcReg[k] == REG_INVALID) {
+    if (e.srcReg[k] == REG_ZERO) {
         v.avail = true;
         v.final = true;
         v.value = 0;
@@ -251,8 +252,8 @@ Core::fetchStage()
     Addr line_pc = fetchPC;
 
     while (budget > 0 && fetchQueue.size() < params.fetchQueueSize) {
-        const Instr *ip = prog.at(fetchPC);
-        if (!ip) {
+        const DecodedInst *si = code.at(fetchPC);
+        if (!si) {
             fetchHalted = true; // off the text segment; wait for squash
             cycleHadWork = true;
             break;
@@ -272,13 +273,13 @@ Core::fetchStage()
 
         FetchedInst f;
         f.pc = fetchPC;
-        f.si = decodeAt(fetchPC);
-        f.isCtrl = f.si->info->cls == InstClass::Branch ||
-                   f.si->info->cls == InstClass::Jump;
-        f.resolvable = f.si->info->cls == InstClass::Branch ||
-                       isIndirectJump(ip->op);
+        f.si = si;
+        f.isCtrl = si->info->cls == InstClass::Branch ||
+                   si->info->cls == InstClass::Jump;
+        f.resolvable = si->info->cls == InstClass::Branch ||
+                       isIndirectJump(si->inst.op);
 
-        if (ip->op == Op::HALT) {
+        if (si->inst.op == Op::HALT) {
             f.predNextPC = fetchPC; // fetch stops here
             fetchQueue.push_back(f);
             fqResolvable += f.resolvable;
@@ -296,7 +297,7 @@ Core::fetchStage()
             if (++bpSlotNext == bpSlab.slots())
                 bpSlotNext = 0;
             bpred.checkpoint(bpSlab, f.bpSlot);
-            BpredLookup look = bpred.predict(fetchPC, *ip);
+            BpredLookup look = bpred.predict(fetchPC, si->inst);
             f.predTaken = look.predTaken;
             f.ghrUsed = look.ghrUsed;
             f.fromRas = look.fromRas;
@@ -380,7 +381,7 @@ Core::tryDispatchReuse(int slot)
     for (int k = 0; k < 2; ++k) {
         q[k].reg = e.srcReg[k];
         q[k].value = e.exec.srcVals[k];
-        if (q[k].reg == REG_INVALID)
+        if (q[k].reg == REG_ZERO)
             continue;
         const RobRef &ref = e.srcRob[k];
         if (!refAlive(ref)) {
@@ -521,14 +522,14 @@ Core::dispatchStage()
         // instead of building a temporary and copying it over.
         static_assert(std::is_trivially_destructible_v<RobEntry>);
         RobEntry &e = *new (&rob[slot]) RobEntry;
-        // The oracle execution writes straight into the entry. Fetch
-        // only queues PCs inside the text segment, so prog.at() below
-        // cannot fail; execAt() returns false for a HALT.
-        e.isHalt = !emu.execAt(f.pc, e.exec.out, e.exec.srcVals);
+        // The oracle execution writes straight into the entry, from the
+        // word fetch resolved (fetch only queues PCs inside the text
+        // segment); execAt() returns false for a HALT.
+        e.isHalt = !emu.execAt(f.pc, f.si, e.exec.out, e.exec.srcVals);
         e.valid = true;
         e.seq = nextSeq++;
         e.pc = f.pc;
-        e.inst = *prog.at(f.pc);
+        e.inst = f.si->inst;
         e.cls = di.cls;
         e.si = f.si;
         e.postMark = state.mark();
@@ -548,9 +549,9 @@ Core::dispatchStage()
 
         // Rename sources against in-flight producers.
         for (int k = 0; k < 2; ++k) {
-            RegId r = f.si->src.src[k];
+            RegId r = f.si->src[k];
             e.srcReg[k] = r;
-            if (r != REG_INVALID && refAlive(regProducer[r]))
+            if (r != REG_ZERO && refAlive(regProducer[r]))
                 e.srcRob[k] = regProducer[r];
         }
 
@@ -590,8 +591,8 @@ Core::dispatchStage()
 
         // Claim destinations after the reuse probe (which must see the
         // *previous* producers of our destination registers).
-        for (RegId r : e.si->dst.dst) {
-            if (r != REG_INVALID)
+        for (RegId r : e.si->dst) {
+            if (r != REG_ZERO)
                 regProducer[r] = RobRef{slot, e.seq};
         }
 
@@ -755,7 +756,7 @@ Core::schedOnDispatch(int slot)
         return; // reused/nop/halt: never issues
     e.pendingOps = 0;
     for (int k = 0; k < 2; ++k) {
-        if (e.srcReg[k] == REG_INVALID || !refAlive(e.srcRob[k]))
+        if (e.srcReg[k] == REG_ZERO || !refAlive(e.srcRob[k]))
             continue;
         // Link every live-producer operand, available or not: the
         // link is the re-publication wake channel that lets the issue
@@ -1375,8 +1376,8 @@ Core::rebuildRename()
         r = RobRef{};
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
-        for (RegId r : e.si->dst.dst) {
-            if (r != REG_INVALID)
+        for (RegId r : e.si->dst) {
+            if (r != REG_ZERO)
                 regProducer[r] = RobRef{slot, e.seq};
         }
         return true;
@@ -1511,7 +1512,7 @@ Core::insertIntoRb(int slot)
     // as a wrong committed value, not a wrong-path walk.
     if (injector.fireRbOperand()) {
         int k = static_cast<int>(injector.pick(2));
-        if (info.srcReg[k] != REG_INVALID)
+        if (info.srcReg[k] != REG_ZERO)
             info.srcVal[k] = injector.corrupt(info.srcVal[k]);
     }
     if (injector.fireRbResult()) {
@@ -1696,8 +1697,8 @@ Core::commitStage()
                 --storeAddrPrefix;
         }
 
-        for (RegId r : e.si->dst.dst) {
-            if (r != REG_INVALID && regProducer[r].slot == robHead &&
+        for (RegId r : e.si->dst) {
+            if (r != REG_ZERO && regProducer[r].slot == robHead &&
                 regProducer[r].seq == e.seq) {
                 regProducer[r] = RobRef{};
             }
@@ -2050,7 +2051,7 @@ Core::auditCycle() const
             for (int k = 0; k < 2; ++k) {
                 const OpWaiter &w = waiters[slot * 2 + k];
                 bool should_link = e.needsExec && !e.finalized &&
-                                   e.srcReg[k] != REG_INVALID &&
+                                   e.srcReg[k] != REG_ZERO &&
                                    refAlive(e.srcRob[k]);
                 if (w.prodSlot < 0) {
                     if (should_link)

@@ -84,12 +84,12 @@ struct RobEntry
     bool isHalt = false;
     InstClass cls = InstClass::Nop;
     uint8_t memSz = 0;
-    RegId srcReg[2] = {REG_INVALID, REG_INVALID}; //!< renamed sources
+    RegId srcReg[2] = {REG_ZERO, REG_ZERO}; //!< renamed sources (r0: none)
     uint64_t seq = 0;           //!< dynamic sequence number
     Addr pc = 0;
     Instr inst;
-    const StaticInst *si = nullptr; //!< static decode facts, cached at
-                                    //!< fetch (never re-derived)
+    const DecodedInst *si = nullptr; //!< the word fetch resolved
+                                     //!< (never re-derived)
     RobRef srcRob[2];           //!< in-flight producers (invalid = arch)
     uint64_t dispatchCycle = 0;
 
@@ -176,14 +176,14 @@ struct LsqEntry
 };
 
 /** Everything fetch hands to dispatch for one instruction. The
- *  instruction itself is re-read from the program text at dispatch,
- *  and a control instruction's predictor snapshot lives in the
- *  core's checkpoint slab (slot bpSlot), not in the record. */
+ *  instruction itself is its predecoded word, and a control
+ *  instruction's predictor snapshot lives in the core's checkpoint
+ *  slab (slot bpSlot), not in the record. */
 struct FetchedInst
 {
     Addr pc = 0;
     Addr predNextPC = 0;
-    const StaticInst *si = nullptr; //!< cached per static instruction
+    const DecodedInst *si = nullptr; //!< its word of the program
     uint32_t ghrUsed = 0;
     uint32_t bpSlot = 0;     //!< checkpoint slab slot (isCtrl only)
     bool isCtrl = false;
@@ -249,6 +249,7 @@ class Core
     /** Highest dynamic sequence number handed out so far. */
     uint64_t seqAllocated() const { return nextSeq - 1; }
     EmuState &emuState() { return state; }
+    const DecodedProgram &decoded() const { return code; }
 
   private:
     /** Test-only: plants one corruption per audited invariant family
@@ -292,15 +293,6 @@ class Core
                 return;
             slot = nextSlot(slot);
         }
-    }
-
-    /** Decode facts of the text instruction at @p pc (must be valid),
-     *  from the emulator's per-static-instruction table, so the
-     *  pipeline never re-decodes a dynamic instruction. */
-    const StaticInst *
-    decodeAt(Addr pc) const
-    {
-        return &emu.decodeAt(pc);
     }
 
     /** Value of register @p reg as produced by entry @p e. */
@@ -402,6 +394,10 @@ class Core
     // --- configuration / substrate ----------------------------------
     CoreParams params;
     const Program &prog;
+    /** The program's one predecoded table: fetch resolves each PC to
+     *  its word once, and the emulator, the checker and (through
+     *  decoded()) the fuzz end-state replay read the same words. */
+    const DecodedProgram code;
     EmuState state;
     Emulator emu;
     Cache icache;

@@ -16,9 +16,12 @@
  *     journal marks where they were;
  *   - no per-step result record: callers that want an instruction's
  *     outcome ask step() for it, run() produces none;
- *   - a predecoded program: operand and destination registers,
- *     access size and halt/validity are resolved once per static
- *     instruction at construction;
+ *   - the program's one predecoded table (DecodedProgram,
+ *     isa/decode.hh), shared with the timing core: operand and
+ *     destination registers, access size and halt/validity were
+ *     resolved once per text word when the table was built, and an
+ *     absent register is r0, so the loop reads and writes registers
+ *     without a branch;
  *   - the state's read and write page caches, so copy-on-write stays
  *     intact (the first write to a page shared with a snapshot clones
  *     it, later writes go to the clone).
@@ -33,11 +36,11 @@
 #define VPIR_EMU_ENGINE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "asm/assembler.hh"
 #include "emu/executor.hh"
 #include "emu/state.hh"
+#include "isa/decode.hh"
 #include "isa/instr.hh"
 
 namespace vpir
@@ -46,10 +49,12 @@ namespace vpir
 class FuncEngine
 {
   public:
-    /** An engine over @p state, which the caller has loaded (or copied
-     *  from a snapshot); the PC starts at the program's entry. Both
-     *  @p program and @p state must outlive the engine. */
-    FuncEngine(const Program &program, EmuState &state);
+    /** An engine running @p program over @p state, which the caller
+     *  has loaded (or copied from a snapshot); the PC starts at the
+     *  program's entry. Both must outlive the engine (so a temporary
+     *  table is refused). */
+    FuncEngine(const DecodedProgram &program, EmuState &state);
+    FuncEngine(DecodedProgram &&, EmuState &) = delete;
 
     /**
      * Execute up to @p max_insts instructions, stopping after one that
@@ -61,10 +66,11 @@ class FuncEngine
 
     /**
      * Execute the instruction at the PC and report its outcome and
-     * operand values. @return false when it halts; @p out and
-     * @p src_vals are then zero and the PC stays on it.
+     * operand values. @return the word it executed, or null when it
+     * halts; @p out and @p src_vals are then zero and the PC stays on
+     * it.
      */
-    bool step(SemOut &out, uint64_t (&src_vals)[2]);
+    const DecodedInst *step(SemOut &out, uint64_t (&src_vals)[2]);
 
     Addr pc() const { return curPC; }
     void setPC(Addr pc) { curPC = pc; }
@@ -75,31 +81,10 @@ class FuncEngine
     EmuState &state() { return st; }
 
   private:
-    /** How the loop treats a static instruction. */
-    enum class Kind : uint8_t
-    {
-        Exec,  //!< evaluate, write destinations
-        Store, //!< evaluate, write memory, write destinations
-        Halt,  //!< HALT
-        Bad,   //!< fails validation: asserts if it is ever executed
-    };
-
-    /** One predecoded text word. Absent operands and destinations
-     *  name r0, which reads as zero and is re-zeroed after writes. */
-    struct Decoded
-    {
-        Instr inst;
-        RegId src[2];
-        RegId dst[2];
-        Kind kind;
-        uint8_t memSz;
-    };
-
     template <bool REPORT>
-    bool exec(SemOut &out, uint64_t *src_vals);
+    const DecodedInst *exec(SemOut &out, uint64_t *src_vals);
 
-    const Program &prog;
-    std::vector<Decoded> code;
+    const DecodedProgram &code;
     EmuState &st;
     Addr curPC;
     bool isHalted = false;

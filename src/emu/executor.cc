@@ -15,13 +15,7 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
     return evalInstrWith(inst, pc, src0, src1, read);
 }
 
-Emulator::Emulator(const Program &program, EmuState &state)
-    : prog(program),
-      decoded(predecode(program.text)),
-      st(state),
-      curPC(program.entry)
-{
-}
+Emulator::Emulator(EmuState &state, Addr pc) : st(state), curPC(pc) {}
 
 void
 Emulator::loadProgram(const Program &program, EmuState &state)
@@ -34,39 +28,34 @@ Emulator::loadProgram(const Program &program, EmuState &state)
 }
 
 bool
-Emulator::execAt(Addr pc, SemOut &out, uint64_t (&src_vals)[2])
+Emulator::execAt(Addr pc, const DecodedInst *w, SemOut &out,
+                 uint64_t (&src_vals)[2])
 {
     curPC = pc;
-    const Instr *ip = prog.at(curPC);
-    if (!ip || ip->op == Op::HALT) {
+    if (!w || w->kind >= WordKind::Halt) {
         // Off the end of text (wrong path) behaves as a halt; the core
         // never lets such instructions commit.
+        VPIR_ASSERT(!w || w->kind == WordKind::Halt, w->invalid);
         out = SemOut{};
         src_vals[0] = src_vals[1] = 0;
         isHalted = true;
         return false;
     }
 
-    const StaticInst &si = decoded[static_cast<size_t>(ip -
-                                                       prog.text.data())];
-    src_vals[0] = si.src.src[0] != REG_INVALID ? st.readReg(si.src.src[0])
-                                               : 0;
-    src_vals[1] = si.src.src[1] != REG_INVALID ? st.readReg(si.src.src[1])
-                                               : 0;
+    src_vals[0] = st.readReg(w->src[0]);
+    src_vals[1] = st.readReg(w->src[1]);
 
     const EmuState &mem_state = st;
     auto read = [&mem_state](Addr a, unsigned sz) {
         return mem_state.readMem(a, sz);
     };
-    out = evalInstr(*ip, curPC, src_vals[0], src_vals[1], read);
+    out = evalInstr(w->inst, curPC, src_vals[0], src_vals[1], read);
 
-    if (si.info->cls == InstClass::Store)
-        st.writeMem(out.memAddr, si.info->memSz, out.storeValue);
-
-    if (si.dst.dst[0] != REG_INVALID)
-        st.writeReg(si.dst.dst[0], out.result);
-    if (si.dst.dst[1] != REG_INVALID)
-        st.writeReg(si.dst.dst[1], out.result2);
+    if (w->kind == WordKind::Store)
+        st.writeMem(out.memAddr, w->memSz, out.storeValue);
+    // Writes to r0 (an absent destination) are dropped unjournaled.
+    st.writeReg(w->dst[0], out.result);
+    st.writeReg(w->dst[1], out.result2);
 
     curPC = out.nextPC;
     return true;

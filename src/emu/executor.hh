@@ -10,9 +10,12 @@
  * the one definition of the ISA's semantics in emu/semantics.hh.
  *
  * The Emulator executes along the core's fetched path, wrong paths
- * included, with every write journaled so a squash can undo it.
- * Non-speculative runs use the journal-free FuncEngine instead
- * (emu/engine.hh).
+ * included, with every write journaled so a squash can undo it. It
+ * holds no program: fetch resolves each PC to its word of the
+ * program's one predecoded table (DecodedProgram, isa/decode.hh) and
+ * hands that word to execAt(), so a dynamic instruction is looked up
+ * once. Non-speculative runs use the journal-free FuncEngine instead
+ * (emu/engine.hh), which reads the same table.
  */
 
 #ifndef VPIR_EMU_EXECUTOR_HH
@@ -85,24 +88,26 @@ SemOut evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
                  MemReadFn mem);
 
 /**
- * Speculative executor for the timing core's dispatch: fetches from a
- * Program, executes on an EmuState, applies journaled writes, and
- * advances PC.
+ * Speculative executor for the timing core's dispatch: executes the
+ * predecoded words fetch hands it on an EmuState, applies journaled
+ * writes, and advances PC.
  */
 class Emulator
 {
   public:
-    Emulator(const Program &program, EmuState &state);
+    /** An emulator over @p state (which must outlive it), at @p pc. */
+    Emulator(EmuState &state, Addr pc);
 
     /**
-     * Execute the instruction at @p pc (sets PC first), writing only
-     * its semantic outcome and operand values into the caller's
-     * storage (the core's dispatch path fills its ROB entry
-     * in place). @p out and @p src_vals are fully written, zeroed for
-     * a halt. @return false when the instruction halts (HALT, or a PC
-     * off the text segment).
+     * Execute @p w, the word at @p pc (sets PC first), writing only its
+     * semantic outcome and operand values into the caller's storage
+     * (the core's dispatch path fills its ROB entry in place). @p out
+     * and @p src_vals are fully written, zeroed for a halt. @return
+     * false when the instruction halts (HALT, or @p w null: a PC off
+     * the text segment).
      */
-    bool execAt(Addr pc, SemOut &out, uint64_t (&src_vals)[2]);
+    bool execAt(Addr pc, const DecodedInst *w, SemOut &out,
+                uint64_t (&src_vals)[2]);
 
     Addr pc() const { return curPC; }
     void setPC(Addr pc) { curPC = pc; }
@@ -114,26 +119,12 @@ class Emulator
     // verbatim, halted or not.
     void setHalt(bool h) { isHalted = h; }
 
-    const Program &program() const { return prog; }
-
-    /** Decode facts of the text instruction at @p pc, which must lie
-     *  in the text segment. */
-    const StaticInst &
-    decodeAt(Addr pc) const
-    {
-        return decoded[(pc - prog.textBase) / 4];
-    }
     EmuState &state() { return st; }
 
     /** Load the program image and initial registers into the state. */
     static void loadProgram(const Program &program, EmuState &state);
 
   private:
-    const Program &prog;
-    /** predecode(prog.text): per-step source/destination registers and
-     *  access size without re-deriving them; the core reads it through
-     *  decodeAt(). */
-    std::vector<StaticInst> decoded;
     EmuState &st;
     Addr curPC;
     bool isHalted = false;

@@ -213,10 +213,11 @@ runDifferential(const Program &program, const CoreParams &params)
         }
 
         // End-state cross-check: replay the program on a fresh
-        // functional reference and compare the architectural result.
+        // functional reference (reading the core's predecoded words)
+        // and compare the architectural result.
         EmuState ref;
         Emulator::loadProgram(program, ref);
-        FuncEngine engine(program, ref);
+        FuncEngine engine(core.decoded(), ref);
         const uint64_t cap = out.stats.committedInsts + 16;
         const uint64_t steps = engine.run(cap);
         if (!engine.halted()) {

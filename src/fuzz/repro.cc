@@ -25,111 +25,6 @@ namespace
 
 constexpr const char *FORMAT = "vpir-repro v1";
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-/** Find "key" at top level and return the raw value text: a quoted
- *  string (unescaped into @p out), a number, or a {...} object. */
-bool
-extractString(const std::string &s, const char *key, std::string &out)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    size_t pos = s.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < s.size() &&
-           (s[pos] == ':' ||
-            std::isspace(static_cast<unsigned char>(s[pos]))))
-        ++pos;
-    if (pos >= s.size() || s[pos] != '"')
-        return false;
-    ++pos;
-    out.clear();
-    while (pos < s.size() && s[pos] != '"') {
-        char c = s[pos];
-        if (c == '\\' && pos + 1 < s.size()) {
-            char e = s[pos + 1];
-            pos += 2;
-            switch (e) {
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case 'u': {
-                if (pos + 4 > s.size())
-                    return false;
-                unsigned v = 0;
-                for (int k = 0; k < 4; ++k) {
-                    char h = s[pos + k];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                pos += 4;
-                out += static_cast<char>(v & 0xff);
-                break;
-              }
-              default:
-                return false;
-            }
-        } else {
-            out += c;
-            ++pos;
-        }
-    }
-    return pos < s.size();
-}
-
 /** Extract the balanced {...} object value of @p key. */
 bool
 extractObject(const std::string &s, const char *key, std::string &out)
@@ -231,14 +126,14 @@ bundleFromJson(const std::string &json, ReproBundle &out,
                std::string &err)
 {
     std::string fmt;
-    if (!extractString(json, "format", fmt) || fmt != FORMAT) {
+    if (!jsonFieldString(json, "format", fmt) || fmt != FORMAT) {
         err = "not a " + std::string(FORMAT) + " bundle (format: '" +
               fmt + "')";
         return false;
     }
     std::string sfp, pfp;
-    if (!extractString(json, "stats_schema", sfp) ||
-        !extractString(json, "params_schema", pfp)) {
+    if (!jsonFieldString(json, "stats_schema", sfp) ||
+        !jsonFieldString(json, "params_schema", pfp)) {
         err = "bundle is missing its schema fingerprints";
         return false;
     }
@@ -262,13 +157,13 @@ bundleFromJson(const std::string &json, ReproBundle &out,
     ReproBundle b;
     jsonFieldU64(json, "generator_revision", b.generatorRevision);
     jsonFieldU64(json, "seed", b.seed);
-    extractString(json, "workload", b.workload);
-    if (!extractString(json, "kind", b.kind)) {
+    jsonFieldString(json, "workload", b.workload);
+    if (!jsonFieldString(json, "kind", b.kind)) {
         err = "bundle has no expected divergence kind";
         return false;
     }
-    extractString(json, "detail", b.detail);
-    extractString(json, "env", b.env);
+    jsonFieldString(json, "detail", b.detail);
+    jsonFieldString(json, "env", b.env);
 
     std::string pjson;
     if (!extractObject(json, "params", pjson) ||
@@ -276,7 +171,7 @@ bundleFromJson(const std::string &json, ReproBundle &out,
         err = "bundle params object is missing or malformed";
         return false;
     }
-    if (!extractString(json, "program", b.programText)) {
+    if (!jsonFieldString(json, "program", b.programText)) {
         err = "bundle has no program text";
         return false;
     }

@@ -2,7 +2,8 @@
  * @file
  * Static decode information: instruction class, functional unit
  * requirements and latencies (paper Table 1), source/destination
- * register extraction, and memory access attributes.
+ * register extraction, and memory access attributes; and the
+ * predecoded program, the one per-word table every executor reads.
  */
 
 #ifndef VPIR_ISA_DECODE_HH
@@ -150,6 +151,20 @@ buildDecodeTable()
 inline constexpr std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)>
     decodeTable = buildDecodeTable();
 
+/** Every memory op accesses 1, 2, 4 or 8 bytes, the sizes EmuState's
+ *  accessors take, and no other op has a size: checked once for the
+ *  whole table instead of per instruction. */
+static_assert([] {
+    for (const DecodeInfo &d : decodeTable) {
+        const bool mem = d.cls == InstClass::Load ||
+                         d.cls == InstClass::Store;
+        const unsigned sz = d.memSz;
+        if (mem ? sz != 1 && sz != 2 && sz != 4 && sz != 8 : sz != 0)
+            return false;
+    }
+    return true;
+}(), "bad memory access size");
+
 } // namespace detail
 
 /** Decode table lookup. */
@@ -220,28 +235,65 @@ memSize(Op op)
     return decodeInfo(op).memSz;
 }
 
-/**
- * Everything decode derives from one static instruction, resolved once
- * per program text word (Core and Emulator build a table of these at
- * construction) so each dynamic instance costs one table load.
- */
-struct StaticInst
+/** How an executor treats a predecoded text word. */
+enum class WordKind : uint8_t
 {
-    const DecodeInfo *info; //!< per-opcode facts
-    SrcRegs src;            //!< srcRegs() of the instruction
-    DstRegs dst;            //!< dstRegs() of the instruction
+    Exec,    //!< evaluate, write destinations
+    Store,   //!< evaluate, write memory, write destinations
+    Halt,    //!< HALT
+    Invalid, //!< malformed: asserts with its message if ever executed
 };
 
-/** Decode table for a program text, one StaticInst per word. */
-inline std::vector<StaticInst>
-predecode(const std::vector<Instr> &text)
+/**
+ * Everything decode derives from one program text word, resolved once
+ * by predecode() so each dynamic instance costs one table load.
+ *
+ * "No register" is r0: it reads as zero, is never a dependence, and a
+ * write to it is discarded, so an absent source or destination names
+ * REG_ZERO and an executor reads and writes it without a branch.
+ */
+struct DecodedInst
 {
-    std::vector<StaticInst> out;
-    out.reserve(text.size());
-    for (const Instr &i : text)
-        out.push_back(StaticInst{&decodeInfo(i.op), srcRegs(i), dstRegs(i)});
-    return out;
-}
+    Instr inst;
+    const DecodeInfo *info; //!< per-opcode facts (NOP's for a bad opcode)
+    RegId src[2];           //!< srcRegs(inst), REG_ZERO when absent
+    RegId dst[2];           //!< dstRegs(inst), REG_ZERO when absent
+    uint8_t memSz;          //!< memSize(inst.op)
+    WordKind kind;
+    const char *invalid;    //!< kind Invalid: what its execution asserts
+};
+
+struct Program;
+
+/**
+ * A program's text predecoded, one DecodedInst per word: the only
+ * decoded form of a program. The timing core's fetch, dispatch and
+ * speculative Emulator read it, and so does every FuncEngine (warm-up,
+ * lockstep checker, limit study, fuzz end-state replay). Immutable
+ * once built; a Core builds one and lends it to its checker.
+ */
+struct DecodedProgram
+{
+    Addr textBase = 0;
+    Addr entry = 0;
+    std::vector<DecodedInst> words;
+
+    /** The word at @p pc, or null off the text segment. */
+    const DecodedInst *
+    at(Addr pc) const
+    {
+        // Unsigned offset: a PC below the text base wraps past the end.
+        const uint32_t off = pc - textBase;
+        const size_t idx = off >> 2;
+        return (off & 3) == 0 && idx < words.size() ? &words[idx]
+                                                    : nullptr;
+    }
+};
+
+/** Decode @p program's text. A word that fails the checks the
+ *  executors would otherwise make on every access (opcode, register
+ *  range) becomes WordKind::Invalid; it asserts only if executed. */
+DecodedProgram predecode(const Program &program);
 
 inline bool
 isLoad(Op op)

@@ -50,7 +50,8 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
     RedundancyStats out;
     EmuState state;
     Emulator::loadProgram(program, state);
-    FuncEngine engine(program, state);
+    const DecodedProgram code = predecode(program);
+    FuncEngine engine(code, state);
 
     std::unordered_map<Addr, StaticHistory> hist;
     WriterInfo writers[NUM_ARCH_REGS] = {};
@@ -60,14 +61,16 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
     uint64_t src_vals[2];
     while (idx < params.maxInsts) {
         const Addr pc = engine.pc();
-        if (!engine.step(sem, src_vals))
+        const DecodedInst *w = engine.step(sem, src_vals);
+        if (!w)
             break;
         ++idx;
         ++out.totalDynamic;
 
-        const Instr &inst = *program.at(pc);
-        bool produces = inst.rd != REG_INVALID &&
-                        decodeInfo(inst.op).cls != InstClass::Nop;
+        // Counts writes to r0 too: the test is on the instruction's
+        // own rd field, not on its (r0-filtered) destinations.
+        bool produces = w->inst.rd != REG_INVALID &&
+                        w->info->cls != InstClass::Nop;
 
         bool this_reused = false;
         if (produces) {
@@ -98,18 +101,16 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
                 // Inputs are ready when every producer is either
                 // reused itself or at least `producerDistance`
                 // instructions ahead (paper §4.3).
-                SrcRegs s = srcRegs(inst);
+                // An absent source is r0, which never has a writer.
                 bool any_near = false;
                 bool any_far = false;
-                for (RegId r : s.src) {
-                    if (r == REG_INVALID)
-                        continue;
-                    const WriterInfo &w = writers[r];
-                    if (!w.valid)
+                for (RegId r : w->src) {
+                    const WriterInfo &wr = writers[r];
+                    if (!wr.valid)
                         continue; // architectural: long ago
-                    if (w.reused)
+                    if (wr.reused)
                         continue;
-                    if (idx - w.index < params.producerDistance)
+                    if (idx - wr.index < params.producerDistance)
                         any_near = true;
                     else
                         any_far = true;
@@ -144,9 +145,8 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
         }
 
         // Track register writers for the readiness model.
-        DstRegs d = dstRegs(inst);
-        for (RegId r : d.dst) {
-            if (r != REG_INVALID)
+        for (RegId r : w->dst) {
+            if (r != REG_ZERO)
                 writers[r] = WriterInfo{idx, this_reused, true};
         }
     }

@@ -62,7 +62,7 @@ ReuseBuffer::ReuseBuffer(const RbParams &p)
 bool
 ReuseBuffer::operandOk(const Operand &op, const RbOperandQuery &q) const
 {
-    if (op.reg == REG_INVALID)
+    if (op.reg == REG_ZERO)
         return true; // no operand, trivially matches
     if (q.reg != op.reg)
         return false; // different static instruction in this slot
@@ -202,9 +202,9 @@ ReuseBuffer::insert(const RbInsertInfo &info)
         if (e.valid && e.pc == info.pc && e.op == info.inst.op &&
             e.ops[0].reg == info.srcReg[0] &&
             e.ops[1].reg == info.srcReg[1] &&
-            (e.ops[0].reg == REG_INVALID ||
+            (e.ops[0].reg == REG_ZERO ||
              e.ops[0].value == info.srcVal[0]) &&
-            (e.ops[1].reg == REG_INVALID ||
+            (e.ops[1].reg == REG_ZERO ||
              e.ops[1].value == info.srcVal[1])) {
             way = static_cast<int>(w);
             break;

@@ -52,7 +52,7 @@ struct RbRef
 /** Per-operand inputs to the reuse test, provided by the core. */
 struct RbOperandQuery
 {
-    RegId reg = REG_INVALID;
+    RegId reg = REG_ZERO;    //!< REG_ZERO: no operand (r0 reads as 0)
     bool ready = false;      //!< value available at decode time
     uint64_t value = 0;      //!< current architectural value (if ready)
     RbRef producerReuse;     //!< RB entry the in-flight producer of
@@ -79,7 +79,7 @@ struct RbInsertInfo
 {
     Addr pc = 0;
     Instr inst;
-    RegId srcReg[2] = {REG_INVALID, REG_INVALID};
+    RegId srcReg[2] = {REG_ZERO, REG_ZERO}; //!< REG_ZERO: no operand
     uint64_t srcVal[2] = {0, 0};
     uint64_t result = 0;
     uint64_t result2 = 0;
@@ -158,7 +158,7 @@ class ReuseBuffer
 
     struct Operand
     {
-        RegId reg = REG_INVALID;
+        RegId reg = REG_ZERO; //!< REG_ZERO: no operand
         uint64_t value = 0;
         RbRef src;       //!< dependence pointer (S_{n+d}'s 'd')
     };

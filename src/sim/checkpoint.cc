@@ -26,7 +26,8 @@ namespace
 {
 
 constexpr char CKPT_MAGIC[8] = {'V', 'P', 'I', 'R', 'C', 'K', 'P', 'T'};
-constexpr uint32_t CKPT_VERSION = 1;
+// 2: a reuse-buffer operand with no register names r0, not 0xff.
+constexpr uint32_t CKPT_VERSION = 2;
 
 std::string
 hex16(uint64_t v)

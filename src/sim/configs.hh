@@ -56,8 +56,9 @@ CoreParams withLimits(CoreParams p, uint64_t max_insts,
  *   VPIR_FAULT_RB_OPERAND / VPIR_FAULT_RB_RESULT / VPIR_FAULT_RB_LINK
  *   / VPIR_FAULT_RB_DROPINV  deterministic fault injection rates
  *
- * Called by the bench Runner and vpirsim on every cell's params, so
- * any experiment can run self-verifying without a rebuild.
+ * Called by the experiment runner (bench/bench_main.cc) and vpirsim
+ * on every cell's params, so any experiment can run self-verifying
+ * without a rebuild.
  */
 void applyHardeningEnv(CoreParams &p);
 

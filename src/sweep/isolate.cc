@@ -186,69 +186,6 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonUnescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        switch (s[++i]) {
-          case 'n':  out += '\n'; break;
-          case 't':  out += '\t'; break;
-          case 'r':  out += '\r'; break;
-          default:   out += s[i]; break; // covers \" and \\ too
-        }
-    }
-    return out;
-}
-
-/** Extract the (escaped) string value of "key": "..." or false. */
-bool
-extractString(const std::string &text, const char *key, std::string &out)
-{
-    std::string needle = std::string("\"") + key + "\": \"";
-    size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    size_t end = pos;
-    while (end < text.size() && text[end] != '"') {
-        if (text[end] == '\\')
-            ++end;
-        ++end;
-    }
-    if (end >= text.size())
-        return false;
-    out = jsonUnescape(text.substr(pos, end - pos));
-    return true;
-}
-
 /** The child's result payload. The stats object comes last so a
  *  truncated payload (child killed mid-write) fails statsFromJson()
  *  and takes the abnormal-exit path instead of half-parsing. */
@@ -306,8 +243,8 @@ decodeOutcome(const std::string &text, CellOutcome &out)
         !jsonFieldU64(text, "ckpt_stopped", ckpt_stopped) ||
         !jsonFieldU64(text, "ckpt_resumed", ckpt_resumed) ||
         !jsonFieldU64(text, "ckpt_written", ckpt_written) ||
-        !extractString(text, "input", tmp.workloadInput) ||
-        !extractString(text, "error", tmp.error))
+        !jsonFieldString(text, "input", tmp.workloadInput) ||
+        !jsonFieldString(text, "error", tmp.error))
         return false;
     uint64_t prof_enabled = 0;
     bool prof_ok = jsonFieldU64(text, "prof_enabled", prof_enabled);

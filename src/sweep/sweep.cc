@@ -17,7 +17,6 @@
 #include "common/env.hh"
 #include "common/fnv_json.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
@@ -207,25 +206,28 @@ SweepEngine::workerLoop()
             return;
         Record *r = queue.front();
         queue.pop_front();
-        // Graceful stop: abandon queued cells unrun (in-flight ones
-        // finish on their own threads); a rerun resumes them through
-        // the disk cache.
-        if (stopSig.load()) {
-            r->skipped = true;
-            r->done = true;
-            --pending;
-            cellFinished.notify_all();
-            continue;
-        }
-        r->running = true;
-        lk.unlock();
-        runRecord(*r);
-        lk.lock();
-        r->running = false;
-        r->done = true;
-        --pending;
-        cellFinished.notify_all();
+        runOrSkip(*r, lk);
     }
+}
+
+void
+SweepEngine::runOrSkip(Record &rec, std::unique_lock<std::mutex> &lk)
+{
+    // Graceful stop: abandon queued cells unrun (in-flight ones finish
+    // on their own threads); a rerun resumes them through the disk
+    // cache.
+    if (stopSig.load()) {
+        rec.skipped = true;
+    } else {
+        rec.running = true;
+        lk.unlock();
+        runRecord(rec);
+        lk.lock();
+        rec.running = false;
+    }
+    rec.done = true;
+    --pending;
+    cellFinished.notify_all();
 }
 
 void
@@ -237,19 +239,7 @@ SweepEngine::drain()
         while (!queue.empty()) {
             Record *r = queue.front();
             queue.pop_front();
-            if (stopSig.load()) {
-                r->skipped = true;
-                r->done = true;
-                --pending;
-                continue;
-            }
-            r->running = true;
-            lk.unlock();
-            runRecord(*r);
-            lk.lock();
-            r->running = false;
-            r->done = true;
-            --pending;
+            runOrSkip(*r, lk);
         }
     } else {
         cellFinished.wait(lk, [&] { return pending == 0; });
@@ -277,19 +267,7 @@ SweepEngine::get(const SweepCell &cell)
                 break;
             }
         }
-        if (stopSig.load()) {
-            r->skipped = true;
-            r->done = true;
-            --pending;
-        } else {
-            r->running = true;
-            lk.unlock();
-            runRecord(*r);
-            lk.lock();
-            r->running = false;
-            r->done = true;
-            --pending;
-        }
+        runOrSkip(*r, lk);
     } else {
         cellFinished.wait(lk, [&] { return r->done; });
     }
@@ -342,8 +320,8 @@ SweepEngine::runRecord(Record &rec)
         }
     }
 
-    // Escalation ladder: retry (with optional exponential backoff and
-    // jitter) -> resume from the newest valid checkpoint -> cold
+    // Escalation ladder: retry -> resume from the newest valid
+    // checkpoint -> cold
     // restart -> structured CellFailure. Intermediate rungs resume so
     // each retry makes forward progress past where the last attempt
     // died; the final rung starts cold in case the checkpoint itself
@@ -355,23 +333,8 @@ SweepEngine::runRecord(Record &rec)
     const int max_attempts =
         1 + static_cast<int>(std::min<uint64_t>(
                 parseEnvU64("VPIR_CELL_RETRIES", 1), 100));
-    const uint64_t backoff_ms = parseEnvU64("VPIR_RETRY_BACKOFF_MS", 0);
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
         rec.attempts = attempt;
-        if (attempt > 1 && backoff_ms) {
-            // Bounded exponential backoff, plus deterministic jitter
-            // derived from (cell key, attempt) so a fleet of workers
-            // retrying simultaneously does not stampede in phase.
-            uint64_t delay = backoff_ms;
-            for (int i = 2; i < attempt && delay < 30000; ++i)
-                delay *= 2;
-            delay = std::min<uint64_t>(delay, 30000);
-            Rng jitter(Rng::split(rec.key,
-                                  static_cast<uint64_t>(attempt)));
-            delay += jitter.below(delay / 2 + 1);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay));
-        }
         const bool allow_resume =
             attempt == 1 || attempt < max_attempts;
         CellOutcome out =
@@ -815,12 +778,11 @@ SweepEngine::maybeExitOnStop()
     {
         std::unique_lock<std::mutex> lk(mu);
         if (numJobs <= 1) {
+            // The stop flag is up, so every queued cell is skipped.
             while (!queue.empty()) {
                 Record *r = queue.front();
                 queue.pop_front();
-                r->skipped = true;
-                r->done = true;
-                --pending;
+                runOrSkip(*r, lk);
             }
         } else {
             cellFinished.wait(lk, [&] { return pending == 0; });

@@ -35,9 +35,9 @@
  *  - mid-cell drain-and-checkpoint (VPIR_CKPT_INSTS + VPIR_CKPT_DIR,
  *    see sim/checkpoint.hh): long cells persist resumable progress,
  *    a graceful stop drains in-flight cells to their next boundary,
- *    and the retry ladder (VPIR_CELL_RETRIES, VPIR_RETRY_BACKOFF_MS)
- *    resumes a crashed cell from its newest valid checkpoint before
- *    falling back to a cold restart.
+ *    and the retry ladder (VPIR_CELL_RETRIES) resumes a crashed cell
+ *    from its newest valid checkpoint before falling back to a cold
+ *    restart.
  */
 
 #ifndef VPIR_SWEEP_SWEEP_HH
@@ -181,8 +181,7 @@ class SweepEngine
     /**
      * Cells whose simulation panicked (in submission order). A failing
      * cell climbs the retry ladder — up to VPIR_CELL_RETRIES retries
-     * (default 1) with optional exponential backoff, resuming from its
-     * newest checkpoint on intermediate rungs and cold-restarting on
+     * (default 1), resuming from its newest checkpoint on intermediate rungs and cold-restarting on
      * the last — then is recorded here with its error message; the
      * rest of the sweep completes normally and get() returns zeroed
      * stats for the failed cell. Harnesses must report these and exit
@@ -224,7 +223,8 @@ class SweepEngine
      *  convention, keeping bench stdout byte-identical per job count). */
     void printSummary(std::FILE *out) const;
 
-    /** Process-wide engine used by the bench Runner and vpirsim. */
+    /** Process-wide engine used by the experiment runner
+     *  (bench/bench_main.cc) and vpirsim. */
     static SweepEngine &global();
 
   private:
@@ -254,6 +254,10 @@ class SweepEngine
     };
 
     void runRecord(Record &rec); //!< compute (or disk-load) one cell
+    /** Settle a record taken off the queue: run it, or skip it when a
+     *  graceful stop is pending. Called with @p lk held, which is
+     *  dropped while the cell runs. */
+    void runOrSkip(Record &rec, std::unique_lock<std::mutex> &lk);
     void workerLoop();
     void startWorkers();
     Record *findOrCreate(const SweepCell &cell); //!< locked by caller

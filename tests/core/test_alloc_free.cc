@@ -251,7 +251,8 @@ TEST(AllocFree, FunctionalEngineRun)
                 st = snap.state;
             else
                 Emulator::loadProgram(wl.program, st);
-            FuncEngine eng(wl.program, st);
+            const DecodedProgram code = predecode(wl.program);
+            FuncEngine eng(code, st);
             if (from_snapshot)
                 eng.setPC(snap.pc);
             ASSERT_EQ(eng.run(WARM), WARM) << what;

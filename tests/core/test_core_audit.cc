@@ -144,7 +144,7 @@ struct CoreAuditProbe
                 return false;
             bool waits = false;
             for (int k = 0; k < 2; ++k) {
-                if (e.srcReg[k] == REG_INVALID)
+                if (e.srcReg[k] == REG_ZERO)
                     continue;
                 uint64_t v = e.exec.srcVals[k];
                 if (alive(c, e.srcRob[k])) {

@@ -25,16 +25,17 @@ using namespace vpir::wreg;
 namespace
 {
 
-/** Test-local journaled reference machine. */
+/** Test-local journaled reference machine, on a table of its own. */
 struct JournaledRef
 {
+    DecodedProgram code;
     EmuState st;
     Emulator emu;
     Addr pc;
     bool halted = false;
 
     JournaledRef(const Program &p, const EmuState &init, Addr start)
-        : st(init), emu(p, st), pc(start)
+        : code(predecode(p)), st(init), emu(st, start), pc(start)
     {
     }
 
@@ -48,7 +49,7 @@ struct JournaledRef
         uint64_t src_vals[2];
         while (done < n && !halted) {
             ++done;
-            bool ok = emu.execAt(pc, out, src_vals);
+            bool ok = emu.execAt(pc, code.at(pc), out, src_vals);
             st.retire(st.mark());
             if (!ok) {
                 halted = true;
@@ -107,7 +108,8 @@ TEST(FuncEngine, MatchesJournaledReferenceOnEveryWorkload)
     for (const std::string &name : workloadNames()) {
         Workload w = makeWorkload(name, sc);
         EmuState st = loaded(w.program);
-        FuncEngine eng(w.program, st);
+        const DecodedProgram code = predecode(w.program);
+        FuncEngine eng(code, st);
         JournaledRef ref(w.program, st, w.program.entry);
         uint64_t at = 0;
         // Several offsets, then on to the halt.
@@ -150,7 +152,8 @@ TEST(FuncEngine, MatchesJournaledReferenceOnGeneratedPrograms)
     for (uint64_t seed = 0; seed < 256; ++seed) {
         Program p = fuzz::generateProgram(seed * 0x9e3779b97f4a7c15ull, opt);
         EmuState st = loaded(p);
-        FuncEngine eng(p, st);
+        const DecodedProgram code = predecode(p);
+        FuncEngine eng(code, st);
         JournaledRef ref(p, st, p.entry);
         std::string what = "seed " + std::to_string(seed);
         runAndCompare(eng, ref, 37, what + " prefix");
@@ -194,13 +197,14 @@ TEST(FuncEngine, FloatingPointNaNsMatchJournaledReference)
 
     for (const Program &prog : progs) {
         EmuState st = loaded(prog);
-        FuncEngine eng(prog, st);
+        const DecodedProgram code = predecode(prog);
+        FuncEngine eng(code, st);
         JournaledRef ref(prog, st, prog.entry);
         runAndCompare(eng, ref, 10000000, "nan program");
         ASSERT_TRUE(eng.halted());
 
         EmuState st2 = loaded(prog);
-        FuncEngine stepper(prog, st2);
+        FuncEngine stepper(code, st2);
         SemOut out;
         uint64_t src_vals[2];
         while (stepper.step(out, src_vals)) {
@@ -216,11 +220,12 @@ TEST(FuncEngine, HaltStepAndOffTextPc)
     a.li(T0, 5);
     a.halt();
     Program p = a.finish();
+    const DecodedProgram code = predecode(p);
 
     // The HALT step counts, latches the halt, and leaves the PC on it.
     {
         EmuState st;
-        FuncEngine eng(p, st);
+        FuncEngine eng(code, st);
         JournaledRef ref(p, st, p.entry);
         runAndCompare(eng, ref, 10, "halt");
         EXPECT_EQ(eng.pc(), p.entry + 4);
@@ -239,7 +244,7 @@ TEST(FuncEngine, HaltStepAndOffTextPc)
     for (Addr pc : {Addr{0xdead0000}, Addr{p.textBase - 4},
                     Addr{p.entry + 2}, p.textEnd()}) {
         EmuState st;
-        FuncEngine eng(p, st);
+        FuncEngine eng(code, st);
         eng.setPC(pc);
         JournaledRef ref(p, st, pc);
         runAndCompare(eng, ref, 3, "pc " + std::to_string(pc));
@@ -268,7 +273,8 @@ TEST(FuncEngine, CrossPageUnalignedLoadAndStore)
     Program p = a.finish();
 
     EmuState st;
-    FuncEngine eng(p, st);
+    const DecodedProgram code = predecode(p);
+    FuncEngine eng(code, st);
     JournaledRef ref(p, st, p.entry);
     runAndCompare(eng, ref, 100, "cross-page");
     ASSERT_TRUE(eng.halted());
@@ -296,8 +302,9 @@ TEST(FuncEngine, RunFromSharedSnapshotLeavesSourceUntouched)
         // clone them, never reach the snapshot or the other clone.
         EmuState a = snap.state;
         EmuState b = snap.state;
-        FuncEngine ea(w.program, a);
-        FuncEngine eb(w.program, b);
+        const DecodedProgram code = predecode(w.program);
+        FuncEngine ea(code, a);
+        FuncEngine eb(code, b);
         ea.setPC(snap.pc);
         eb.setPC(snap.pc);
         JournaledRef ra(w.program, snap.state, snap.pc);
@@ -334,17 +341,18 @@ TEST(FuncEngine, InvalidInstructionAssertsOnlyWhenExecuted)
     p.text[2].rd = 200;
     p.text[2].rs = T0;
 
-    // Validated once at construction, but a bad instruction that never
+    // Validated once by predecode(), but a bad instruction that never
     // runs does not stop the program.
+    const DecodedProgram code = predecode(p);
     EmuState st;
-    FuncEngine eng(p, st);
+    FuncEngine eng(code, st);
     EXPECT_EQ(eng.run(10), 3u);
     EXPECT_TRUE(eng.halted());
 
     // Executing it fails with the journaled path's message.
     PanicThrowScope throws;
     EmuState st2;
-    FuncEngine bad(p, st2);
+    FuncEngine bad(code, st2);
     bad.setPC(p.entry + 8);
     try {
         bad.run(1);

@@ -267,7 +267,8 @@ TEST(Emulator, RunsAssembledProgram)
 
     EmuState st;
     Emulator::loadProgram(p, st);
-    FuncEngine eng(p, st);
+    const DecodedProgram code = predecode(p);
+    FuncEngine eng(code, st);
     eng.run(100);
     EXPECT_TRUE(eng.halted());
     EXPECT_EQ(st.readMem(a.dataAddr("out"), 4), 42u);
@@ -287,7 +288,8 @@ TEST(Emulator, LoopExecutesExpectedCount)
 
     EmuState st;
     Emulator::loadProgram(p, st);
-    FuncEngine eng(p, st);
+    const DecodedProgram code = predecode(p);
+    FuncEngine eng(code, st);
     uint64_t steps = eng.run(1000);
     ASSERT_TRUE(eng.halted());
     EXPECT_EQ(st.readReg(T1), 30u);
@@ -300,10 +302,11 @@ TEST(Emulator, OffTextPCHalts)
     a.nop();
     Program p = a.finish();
     EmuState st;
-    Emulator emu(p, st);
+    Emulator emu(st, p.entry);
     SemOut out;
     uint64_t src_vals[2];
-    EXPECT_FALSE(emu.execAt(0xdead0000, out, src_vals));
+    EXPECT_FALSE(emu.execAt(0xdead0000, predecode(p).at(0xdead0000), out,
+                            src_vals));
     EXPECT_TRUE(emu.halted());
 }
 
@@ -316,7 +319,8 @@ TEST(Emulator, SrcValsCaptureOperands)
     a.halt();
     Program p = a.finish();
     EmuState st;
-    FuncEngine eng(p, st);
+    const DecodedProgram code = predecode(p);
+    FuncEngine eng(code, st);
     SemOut out;
     uint64_t src_vals[2];
     ASSERT_TRUE(eng.step(out, src_vals));
@@ -336,12 +340,13 @@ TEST(Emulator, StoreWritesThroughJournal)
     a.halt();
     Program p = a.finish();
     EmuState st;
-    Emulator emu(p, st);
+    const DecodedProgram code = predecode(p);
+    Emulator emu(st, p.entry);
     JournalMark m = st.mark();
     SemOut out;
     uint64_t src_vals[2];
     for (Addr pc = p.entry; pc < p.entry + 12; pc += 4)
-        ASSERT_TRUE(emu.execAt(pc, out, src_vals));
+        ASSERT_TRUE(emu.execAt(pc, code.at(pc), out, src_vals));
     EXPECT_EQ(st.readMem(0x5002, 1), 0x99u);
     st.rollback(m);
     EXPECT_EQ(st.readMem(0x5002, 1), 0u);

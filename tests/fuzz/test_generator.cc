@@ -56,7 +56,8 @@ TEST(FuzzGenerator, ProgramsTerminate)
         Program p = generateProgram(seed);
         EmuState st;
         Emulator::loadProgram(p, st);
-        FuncEngine eng(p, st);
+        const DecodedProgram code = predecode(p);
+        FuncEngine eng(code, st);
         const uint64_t cap = 2000000;
         eng.run(cap);
         EXPECT_TRUE(eng.halted())
@@ -74,7 +75,8 @@ TEST(FuzzGenerator, ScaledItersShortenRuns)
     auto run = [](const Program &p) {
         EmuState st;
         Emulator::loadProgram(p, st);
-        return FuncEngine(p, st).run(5000000);
+        const DecodedProgram code = predecode(p);
+        return FuncEngine(code, st).run(5000000);
     };
     EXPECT_LT(run(generateProgram(11, small)),
               run(generateProgram(11, big)));

@@ -208,7 +208,8 @@ TEST_P(FuzzSuite, AllTechniquesMatchFunctionalExecution)
     // Functional reference.
     EmuState ref_state;
     Emulator::loadProgram(p, ref_state);
-    FuncEngine eng(p, ref_state);
+    const DecodedProgram code = predecode(p);
+    FuncEngine eng(code, ref_state);
     const uint64_t ref_n = eng.run(2000000);
     ASSERT_TRUE(eng.halted());
     uint64_t ref_sum = checksum(ref_state, p);

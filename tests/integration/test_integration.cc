@@ -61,7 +61,8 @@ runFunctional(const Program &p)
 {
     EmuState st;
     Emulator::loadProgram(p, st);
-    FuncEngine eng(p, st);
+    const DecodedProgram code = predecode(p);
+    FuncEngine eng(code, st);
     // n counts the final HALT step.
     uint64_t n = eng.run(50000000);
     return RunResult{stateChecksum(st, p), n, eng.halted()};

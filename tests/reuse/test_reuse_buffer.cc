@@ -62,7 +62,7 @@ loadInsert(Addr pc, uint64_t base, uint64_t value)
     info.pc = pc;
     info.inst = loadInstr();
     info.srcReg[0] = 1;
-    info.srcReg[1] = REG_INVALID;
+    info.srcReg[1] = REG_ZERO; // no second operand
     info.srcVal[0] = base;
     info.memAddr = static_cast<Addr>(base);
     info.memValue = value;

@@ -4,6 +4,8 @@
  * rejects values above 2^64-1, and paramsFromJson()/statsFromJson()
  * reject any value its field cannot hold, leaving the output
  * untouched. Row-driven, so a new table row is covered automatically.
+ * Also the flat-JSON string codec shared by repro bundles and isolated
+ * cell payloads: every ASCII byte round-trips.
  */
 
 #include <gtest/gtest.h>
@@ -74,6 +76,39 @@ TEST(JsonFieldU64, MatchesOnlyTheWholeQuotedKey)
     ASSERT_TRUE(jsonFieldU64(
         "{\"faults.seed\": 5, \"seedling\": 6, \"seed\": 7}", "seed", v));
     EXPECT_EQ(v, 7u);
+}
+
+TEST(JsonString, EveryAsciiByteQuoteAndBackslashRoundTrips)
+{
+    std::string all;
+    for (int c = 0x01; c <= 0x7f; ++c)
+        all += static_cast<char>(c);
+    for (const std::string &s :
+         {all, std::string("\"\\\"\\\\\""), std::string("\\u0041"),
+          std::string(), std::string("line\nnext\ttab\rret\x1f\x7f")}) {
+        const std::string esc = jsonEscape(s);
+        for (char c : esc)
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20) << esc;
+        const std::string json =
+            "{\"x\": \"decoy\", \"s\": \"" + esc + "\", \"t\": 1}";
+        std::string back = "untouched";
+        ASSERT_TRUE(jsonFieldString(json, "s", back)) << json;
+        EXPECT_EQ(back, s) << json;
+    }
+    // Control characters other than \n \t \r travel as \u00XX.
+    EXPECT_EQ(jsonEscape("\x01\x1f"), "\\u0001\\u001f");
+}
+
+TEST(JsonString, RejectsMalformedStringsLeavingTheOutputUntouched)
+{
+    for (const char *json :
+         {"{\"s\": 5}", "{\"t\": \"x\"}", "{\"s\": \"open",
+          "{\"s\": \"bad \\q escape\"}", "{\"s\": \"\\u00g1\"}",
+          "{\"s\": \"\\u00", "{\"s\": \"trailing\\"}) {
+        std::string out = "untouched";
+        EXPECT_FALSE(jsonFieldString(json, "s", out)) << json;
+        EXPECT_EQ(out, "untouched") << json;
+    }
 }
 
 TEST(ParamsJson, EveryRowRejectsAValueItsFieldCannotHold)

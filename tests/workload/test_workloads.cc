@@ -17,7 +17,8 @@ runFunctional(const Program &p, uint64_t cap)
 {
     EmuState st;
     Emulator::loadProgram(p, st);
-    return FuncEngine(p, st).run(cap);
+    const DecodedProgram code = predecode(p);
+    return FuncEngine(code, st).run(cap);
 }
 
 } // anonymous namespace
@@ -56,7 +57,8 @@ TEST_P(WorkloadSuite, HaltsAtSmallScale)
     Workload w = makeWorkload(GetParam(), sc);
     EmuState st;
     Emulator::loadProgram(w.program, st);
-    FuncEngine eng(w.program, st);
+    const DecodedProgram code = predecode(w.program);
+    FuncEngine eng(code, st);
     uint64_t n = eng.run(5000000);
     ASSERT_TRUE(eng.halted()) << "did not halt";
     EXPECT_GT(n, 1000u);
@@ -106,7 +108,8 @@ TEST_P(WorkloadSuite, UsesMemoryAndBranches)
     Workload w = makeWorkload(GetParam(), sc);
     EmuState st;
     Emulator::loadProgram(w.program, st);
-    FuncEngine eng(w.program, st);
+    const DecodedProgram code = predecode(w.program);
+    FuncEngine eng(code, st);
     SemOut out;
     uint64_t src_vals[2];
     uint64_t loads = 0, stores = 0, branches = 0, total = 0;
